@@ -553,8 +553,6 @@ let e5 () =
 let refresh_out = ref "BENCH_refresh.json"
 let refresh_reps = ref 5
 let refresh_only = ref false
-let parallel_only = ref false
-let refresh_domains = ref [ 1; 2; 4 ]
 
 let median xs =
   let a = Array.of_list xs in
@@ -709,7 +707,6 @@ type refresh_result = {
   r_shape : string;
   r_strategy : string;
   r_engine : string;    (* which executor ran the cell: vector or row *)
-  r_domains : int;      (* refresh parallelism the cell ran under *)
   r_median : float;
   r_min : float;
   r_max : float;
@@ -725,11 +722,6 @@ let refresh_json results =
     (match !scale with `Small -> "small" | `Medium -> "medium" | `Full -> "full");
   Printf.bprintf b "  \"reps\": %d,\n" (max 1 !refresh_reps);
   Buffer.add_string b "  \"warmup_reps\": 1,\n";
-  (* interpreting the domains axis needs the host's width cap: domains
-     rows above this ran sequentially (Parallel.width caps fan-out at the
-     available parallelism), so their medians track the domains=1 row *)
-  Printf.bprintf b "  \"host_recommended_domains\": %d,\n"
-    (Domain.recommended_domain_count ());
   Printf.bprintf b "  \"base_rows\": %d,\n" base;
   Printf.bprintf b "  \"delta_rows\": %d,\n" delta;
   Buffer.add_string b "  \"results\": [\n";
@@ -737,10 +729,10 @@ let refresh_json results =
     (fun i r ->
        Printf.bprintf b
          "    {\"shape\": %S, \"strategy\": %S, \"exec_engine\": %S, \
-          \"domains\": %d, \"median_seconds\": %.9f, \"min_seconds\": %.9f, \
-          \"max_seconds\": %.9f, \"converged\": %b}%s\n"
-         r.r_shape r.r_strategy r.r_engine r.r_domains r.r_median r.r_min
-         r.r_max r.r_converged
+          \"median_seconds\": %.9f, \"min_seconds\": %.9f, \"max_seconds\": \
+          %.9f, \"converged\": %b}%s\n"
+         r.r_shape r.r_strategy r.r_engine r.r_median r.r_min r.r_max
+         r.r_converged
          (if i = List.length results - 1 then "" else ","))
     results;
   Buffer.add_string b "  ]\n}\n";
@@ -837,7 +829,6 @@ let recovery_results () : refresh_result list =
       let mk strategy times converged =
         { r_shape = "recovery"; r_strategy = strategy;
           r_engine = Exec.engine_to_string !Exec.default_engine;
-          r_domains = 1;
           r_median = median times;
           r_min = List.fold_left min infinity times;
           r_max = List.fold_left max neg_infinity times;
@@ -939,141 +930,11 @@ let multi_session_results () : refresh_result list =
        { r_shape = "multi_session_churn";
          r_strategy = Printf.sprintf "sessions_%d" n;
          r_engine = Exec.engine_to_string !Exec.default_engine;
-         r_domains = 1;
          r_median = median times;
          r_min = List.fold_left min infinity times;
          r_max = List.fold_left max neg_infinity times;
          r_converged = List.for_all snd runs })
     [ 1; 4; 16 ]
-
-(* --- the domains axis: domain-parallel refresh scaling ---
-
-   The same timed protocol as the main table, re-run at each requested
-   refresh-parallelism width (--domains, default 1,2,4) over the shapes
-   where sharding has work to split. Each refresh folds several batches'
-   worth of delta (delta_mult × the main table's batch) so the
-   partitioned fill dominates the fixed per-refresh costs; every width
-   sees an identical workload, and every row is divergence-gated against
-   a row-engine recompute like the rest of the JSON. *)
-
-let parallel_shapes =
-  [ ("sum_count_group", Openivm.Flags.Upsert_linear);
-    ("join_agg", Openivm.Flags.Upsert_linear);
-    ("cascade_3level", Openivm.Flags.Union_regroup) ]
-
-let parallel_results () : refresh_result list =
-  let reps = max 1 !refresh_reps in
-  let delta_mult = 8 in
-  let shapes = refresh_shapes () in
-  let table =
-    Report.create
-      ~title:
-        (Printf.sprintf
-           "Refresh latency, domains axis (vector engine): median of %d \
-            propagation(s), %d delta batches per rep"
-           reps delta_mult)
-      ~headers:
-        ("view shape / strategy"
-         :: List.map
-              (fun d -> Printf.sprintf "domains=%d" d)
-              !refresh_domains
-         @ [ "speedup" ])
-  in
-  let cores = Domain.recommended_domain_count () in
-  if List.exists (fun d -> d > cores) !refresh_domains then
-    Printf.printf
-      "note: host parallelism is %d; domains above that are width-capped \
-       and run sequentially\n"
-      cores;
-  let rows =
-    List.concat_map
-      (fun (shape_name, strategy) ->
-         match List.find_opt (fun s -> s.shape_name = shape_name) shapes with
-         | None -> []
-         | Some sh ->
-           let cells =
-             List.map
-               (fun domains ->
-                  let db = Database.create () in
-                  db.Database.exec_engine <- Exec.Vector;
-                  let gen = Datagen.create ~seed:99 () in
-                  sh.shape_setup db gen;
-                  let flags =
-                    { Openivm.Flags.default with
-                      strategy; exec_engine = Exec.Vector; domains }
-                  in
-                  let upstreams =
-                    List.fold_left
-                      (fun acc sql ->
-                         Openivm.Runner.install
-                           ~flags:(sh.shape_upstream_flags flags)
-                           ~registry:(List.rev acc) db sql
-                         :: acc)
-                      [] sh.shape_upstreams
-                  in
-                  let registry = List.rev upstreams in
-                  let v =
-                    Openivm.Runner.install ~flags:(sh.shape_flags flags)
-                      ~registry db sh.shape_view
-                  in
-                  let apply_delta () =
-                    for _ = 1 to delta_mult do sh.shape_delta db gen done
-                  in
-                  apply_delta ();
-                  Openivm.Runner.force_refresh v;
-                  let times =
-                    List.init reps (fun _ ->
-                        apply_delta ();
-                        Timer.time_unit (fun () ->
-                            Openivm.Runner.force_refresh v))
-                  in
-                  let converged =
-                    List.for_all
-                      (fun u ->
-                         let got = Openivm.Runner.visible_rows u in
-                         let expected =
-                           let saved = db.Database.exec_engine in
-                           db.Database.exec_engine <- Exec.Row;
-                           Fun.protect
-                             ~finally:(fun () ->
-                                 db.Database.exec_engine <- saved)
-                             (fun () -> Openivm.Runner.recompute_rows u)
-                         in
-                         got = expected)
-                      (registry @ [ v ])
-                  in
-                  { r_shape = shape_name;
-                    r_strategy = Openivm.Flags.strategy_to_string strategy;
-                    r_engine = Exec.engine_to_string Exec.Vector;
-                    r_domains = domains;
-                    r_median = median times;
-                    r_min = List.fold_left min infinity times;
-                    r_max = List.fold_left max neg_infinity times;
-                    r_converged = converged })
-               !refresh_domains
-           in
-           let sequential =
-             match
-               List.find_opt (fun r -> r.r_domains = 1) cells
-             with
-             | Some r -> r.r_median
-             | None -> (List.hd cells).r_median
-           in
-           let widest =
-             List.fold_left
-               (fun acc r -> if r.r_domains > acc.r_domains then r else acc)
-               (List.hd cells) cells
-           in
-           Report.add_row table
-             ((Printf.sprintf "%s/%s" shape_name
-                 (Openivm.Flags.strategy_to_string strategy))
-              :: List.map (fun r -> Timer.pp_duration r.r_median) cells
-              @ [ Report.speedup sequential widest.r_median ]);
-           cells)
-      parallel_shapes
-  in
-  Report.print table;
-  rows
 
 let refresh_bench () =
   let base, delta = refresh_sizes () in
@@ -1164,7 +1025,6 @@ let refresh_bench () =
                      results :=
                        { r_shape = sh.shape_name; r_strategy = name;
                          r_engine = ename;
-                         r_domains = 1;
                          r_median = median times;
                          r_min = List.fold_left min infinity times;
                          r_max = List.fold_left max neg_infinity times;
@@ -1197,18 +1057,7 @@ let refresh_bench () =
        if not r.r_converged then
          diverged := (r.r_shape, r.r_strategy, r.r_engine) :: !diverged)
     multi;
-  (* the domains axis: domain-parallel rows for the shardable shapes *)
-  let parallel = parallel_results () in
-  List.iter
-    (fun r ->
-       if not r.r_converged then
-         diverged :=
-           ( r.r_shape,
-             Printf.sprintf "%s (domains=%d)" r.r_strategy r.r_domains,
-             r.r_engine )
-           :: !diverged)
-    parallel;
-  let results = List.rev !results @ recovery @ multi @ parallel in
+  let results = List.rev !results @ recovery @ multi in
   let oc = open_out !refresh_out in
   output_string oc (refresh_json results);
   close_out oc;
@@ -1324,28 +1173,16 @@ let () =
      | "--full" -> scale := `Full
      | "--micro" -> run_micro := true
      | "--refresh-only" -> refresh_only := true
-     | "--parallel-only" -> parallel_only := true
      | "--reps" when !i + 1 < Array.length argv ->
        incr i;
        refresh_reps := int_of_string argv.(!i)
      | "--out" when !i + 1 < Array.length argv ->
        incr i;
        refresh_out := argv.(!i)
-     | "--domains" when !i + 1 < Array.length argv ->
-       incr i;
-       refresh_domains :=
-         List.map
-           (fun s ->
-              match int_of_string_opt (String.trim s) with
-              | Some d when d >= 1 -> d
-              | _ ->
-                Printf.eprintf "bad --domains list %s\n" argv.(!i);
-                exit 2)
-           (String.split_on_char ',' argv.(!i))
      | arg ->
        Printf.eprintf
          "unknown option %s (use --small/--full, --micro, --refresh-only, \
-          --reps N, --out FILE, --domains LIST)\n"
+          --reps N, --out FILE)\n"
          arg;
        exit 2);
     incr i
@@ -1355,12 +1192,7 @@ let () =
      Substrate: Minidb engine — shapes, not absolute numbers, are the \
      reproduction target.\n\n"
     (match !scale with `Small -> "small" | `Medium -> "medium" | `Full -> "full");
-  if !parallel_only then begin
-    (* iterate on the domains axis alone; still divergence-gated *)
-    let rows = parallel_results () in
-    if List.exists (fun r -> not r.r_converged) rows then exit 1
-  end
-  else if !refresh_only then refresh_bench ()
+  if !refresh_only then refresh_bench ()
   else begin
     e1 ();
     e1b ();

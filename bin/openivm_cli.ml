@@ -172,12 +172,6 @@ let advise_arg =
          ~doc:"Let the cost model pick the combine strategy (see \
                --expected-delta).")
 
-let domains_arg =
-  Arg.(value & opt int 1 & info [ "domains" ] ~docv:"N"
-         ~doc:"Refresh parallelism: OCaml domains delta propagation may fan \
-               out to. 1 (the default) keeps propagation strictly \
-               sequential; results are identical at every width.")
-
 let expected_delta_arg =
   Arg.(value & opt int 1000 & info [ "expected-delta" ] ~docv:"ROWS"
          ~doc:"Expected delta rows per refresh, for --advise.")
@@ -415,8 +409,8 @@ let htap_cmd =
 
 (* --- the fuzz subcommand: differential fuzzing of the whole pipeline --- *)
 
-let fuzz_action seed cases max_steps strategy dialect exec domains corpus
-    replay no_shrink crash_seed =
+let fuzz_action seed cases max_steps strategy dialect exec corpus replay
+    no_shrink crash_seed =
   let ( let* ) = Result.bind in
   let module F = Openivm_fuzz in
   let* strategies =
@@ -438,23 +432,6 @@ let fuzz_action seed cases max_steps strategy dialect exec domains corpus
        | None ->
          Error (Printf.sprintf "unknown engine %S (use vector, row or both)" e))
   in
-  let* domains_axis =
-    match domains with
-    | None -> Ok []
-    | Some spec ->
-      let rec go acc = function
-        | [] -> Ok (List.rev acc)
-        | n :: rest ->
-          (match int_of_string_opt (String.trim n) with
-           | Some d when d >= 1 -> go (d :: acc) rest
-           | _ ->
-             Error
-               (Printf.sprintf
-                  "bad --domains %S (use a positive count or a \
-                   comma-separated list, e.g. 2 or 1,2,4)" spec))
-      in
-      go [] (String.split_on_char ',' spec)
-  in
   match replay with
   | Some path when Sys.file_exists path && Sys.is_directory path ->
     let results = F.Corpus.replay ~log:print_endline ~dir:path () in
@@ -475,9 +452,7 @@ let fuzz_action seed cases max_steps strategy dialect exec domains corpus
         F.Case.strategies =
           (if strategies = [] then case.F.Case.strategies else strategies);
         dialects = (if dialects = [] then case.F.Case.dialects else dialects);
-        engines = (if engines = [] then case.F.Case.engines else engines);
-        domains =
-          (if domains_axis = [] then case.F.Case.domains else domains_axis) }
+        engines = (if engines = [] then case.F.Case.engines else engines) }
     in
     (match F.Oracle.first_failure case with
      | None -> (
@@ -501,8 +476,8 @@ let fuzz_action seed cases max_steps strategy dialect exec domains corpus
     let config =
       { F.Campaign.default with
         base_seed = seed; cases; max_steps; strategies; dialects; engines;
-        domains = domains_axis; corpus_dir = corpus; shrink = not no_shrink;
-        crash_seed; log = print_endline }
+        corpus_dir = corpus; shrink = not no_shrink; crash_seed;
+        log = print_endline }
     in
     let report = F.Campaign.run config in
     print_endline (F.Campaign.summary report);
@@ -539,14 +514,6 @@ let fuzz_exec_arg =
                or $(b,both) (default: both — each view config runs under \
                the vectorized engine and the row interpreter, and every \
                generated SELECT must return identical rows from the two).")
-
-let fuzz_domains_arg =
-  Arg.(value & opt (some string) None & info [ "domains" ] ~docv:"LIST"
-         ~doc:"Refresh-parallelism axis: a domain count or comma-separated \
-               list (e.g. $(b,2) or $(b,1,2,4)). Each width is one more \
-               matrix dimension — every case must equal a full recompute \
-               under domain-parallel propagation too (default: 1, strictly \
-               sequential).")
 
 let fuzz_corpus_arg =
   Arg.(value & opt (some string) None & info [ "corpus" ] ~docv:"DIR"
@@ -587,17 +554,16 @@ let fuzz_cmd =
   Cmd.v
     (Cmd.info "fuzz" ~doc ~man)
     Term.(
-      const (fun a b c d e x dm f g h cs tr ->
-          to_exit
-            (with_trace tr (fun () -> fuzz_action a b c d e x dm f g h cs)))
+      const (fun a b c d e x f g h cs tr ->
+          to_exit (with_trace tr (fun () -> fuzz_action a b c d e x f g h cs)))
       $ fuzz_seed_arg $ fuzz_cases_arg $ fuzz_max_steps_arg
       $ fuzz_strategy_arg $ fuzz_dialect_arg $ fuzz_exec_arg
-      $ fuzz_domains_arg $ fuzz_corpus_arg $ fuzz_replay_arg
-      $ fuzz_no_shrink_arg $ fuzz_crash_seed_arg $ trace_arg)
+      $ fuzz_corpus_arg $ fuzz_replay_arg $ fuzz_no_shrink_arg
+      $ fuzz_crash_seed_arg $ trace_arg)
 
 (* --- the stats subcommand: profiled refresh, "EXPLAIN ANALYZE for IVM" --- *)
 
-let stats_action script_file format strategy domains rows deltas batches =
+let stats_action script_file format strategy rows deltas batches =
   let ( let* ) = Result.bind in
   let* fmt =
     match trace_format (Some format) with
@@ -608,11 +574,7 @@ let stats_action script_file format strategy domains rows deltas batches =
            "unknown format %S (use text, json or prometheus)" format)
   in
   let* strategy = strategy_of_string strategy in
-  let* () =
-    if domains >= 1 then Ok ()
-    else Error (Printf.sprintf "--domains must be >= 1, got %d" domains)
-  in
-  let flags = { Openivm.Flags.default with strategy; domains } in
+  let flags = { Openivm.Flags.default with strategy } in
   Obs.Report.reset_all ();
   Obs.Span.set_enabled true;
   let db = Database.create () in
@@ -707,9 +669,9 @@ let stats_cmd =
   Cmd.v
     (Cmd.info "stats" ~doc ~man)
     Term.(
-      const (fun a b c dm d e f -> to_exit (stats_action a b c dm d e f))
-      $ stats_script_arg $ stats_format_arg $ strategy_arg $ domains_arg
-      $ stats_rows_arg $ stats_deltas_arg $ stats_batches_arg)
+      const (fun a b c d e f -> to_exit (stats_action a b c d e f))
+      $ stats_script_arg $ stats_format_arg $ strategy_arg $ stats_rows_arg
+      $ stats_deltas_arg $ stats_batches_arg)
 
 let compile_cmd =
   let doc = "compile a materialized view definition into IVM SQL" in
@@ -802,18 +764,14 @@ let recover_cmd =
 
 (* --- the serve subcommand: the concurrent session front-end --- *)
 
-let serve_action port socket host schema_file init_file strategy eager domains
+let serve_action port socket host schema_file init_file strategy eager
     tick_interval batch_cap max_queue max_inflight =
   let ( let* ) = Result.bind in
   let module Srv = Openivm_server in
   let* strategy = strategy_of_string strategy in
-  let* () =
-    if domains >= 1 then Ok ()
-    else Error (Printf.sprintf "--domains must be >= 1, got %d" domains)
-  in
   let flags =
     { Openivm.Flags.default with
-      strategy; domains;
+      strategy;
       refresh = (if eager then Openivm.Flags.Eager else Openivm.Flags.Lazy) }
   in
   let db = Database.create () in
@@ -959,12 +917,10 @@ let serve_cmd =
   Cmd.v
     (Cmd.info "serve" ~doc ~man)
     Term.(
-      const (fun a b c d e f g dm h i j k ->
-          to_exit (serve_action a b c d e f g dm h i j k))
+      const (fun a b c d e f g h i j k -> to_exit (serve_action a b c d e f g h i j k))
       $ serve_port_arg $ serve_socket_arg $ serve_host_arg $ schema_file_arg
-      $ serve_init_arg $ strategy_arg $ eager_arg $ domains_arg
-      $ serve_tick_arg $ serve_batch_arg $ serve_queue_arg
-      $ serve_inflight_arg)
+      $ serve_init_arg $ strategy_arg $ eager_arg $ serve_tick_arg
+      $ serve_batch_arg $ serve_queue_arg $ serve_inflight_arg)
 
 let subcommand_names =
   [ "compile"; "check"; "stats"; "fuzz"; "htap"; "recover"; "serve" ]

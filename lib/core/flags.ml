@@ -78,14 +78,6 @@ type t = {
   exec_engine : Openivm_engine.Exec.engine;
       (** which interpreter runs the propagation SQL: the vectorized
           columnar executor (default) or the row-at-a-time oracle *)
-  domains : int;
-      (** refresh parallelism: number of OCaml domains delta propagation
-          may fan out to. 1 (the default) keeps every refresh strictly
-          sequential on the calling domain; N > 1 lets the runner shard a
-          pending delta N ways and refresh independent same-level views
-          of a cascade concurrently. Parallel refresh is an execution
-          strategy, not a semantics change — results must be identical to
-          [domains = 1] (the fuzz oracle enforces this). *)
 }
 
 let default = {
@@ -99,7 +91,6 @@ let default = {
   script_dir = None;
   consolidate_deltas = true;
   exec_engine = Openivm_engine.Exec.Vector;
-  domains = 1;
 }
 
 (** Flags reproducing the paper's demonstrated configuration. *)

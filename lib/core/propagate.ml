@@ -721,11 +721,8 @@ let all_statements (s : script) : Ast.stmt list =
 
 (** The (target, query) of a plain positional [INSERT INTO t SELECT ...] —
     the shape shared by every fill statement and by the stage-filling
-    statement of the swap strategies. The parallel refresh driver uses it
-    to re-point a statement's SELECT at per-shard tables and bulk-insert
-    the merged result itself. (The explicit [columns] of the stage insert
-    name the stage table's columns in DDL order, so treating the insert
-    as positional is exact.) *)
+    statement of the swap strategies. The runner reads a fill term's
+    source tables through it to prune terms over empty deltas. *)
 let insert_select_parts : Ast.stmt -> (string * Ast.select) option = function
   | Ast.Insert
       { table; source = Ast.Query q; on_conflict = Ast.No_conflict_clause; _ }

@@ -38,9 +38,8 @@ val all_statements : script -> Ast.stmt list
 
 val insert_select_parts : Ast.stmt -> (string * Ast.select) option
 (** The (target, query) of a plain positional [INSERT INTO t SELECT ...]
-    (no conflict clause) — the shape of fill and stage-filling statements,
-    which the parallel refresh driver rewrites per delta shard. [None] for
-    anything else. *)
+    (no conflict clause) — the shape of fill and stage-filling statements.
+    [None] for anything else. *)
 
 (**/**)
 

@@ -42,25 +42,6 @@ let exec_stmts db stmts =
 
 (* --- delta capture --- *)
 
-(* [pending_deltas] is the one view field written from foreign domains:
-   during a level-parallel tick, workers refreshing two upstreams of the
-   same downstream view both capture into it (distinct delta tables, but
-   one shared counter). One lock serializes every counter update; capture
-   batches its whole change into a single locked add. *)
-let pending_lock = Mutex.create ()
-
-let add_pending v n =
-  if n <> 0 then begin
-    Mutex.lock pending_lock;
-    v.pending_deltas <- v.pending_deltas + n;
-    Mutex.unlock pending_lock
-  end
-
-let set_pending v n =
-  Mutex.lock pending_lock;
-  v.pending_deltas <- n;
-  Mutex.unlock pending_lock
-
 (** Append changed rows into delta_T with the boolean multiplicity. Runs
     with hooks disabled so IVM's own writes never re-trigger capture.
     When the base is itself a maintained view, its backing rows carry
@@ -72,18 +53,16 @@ let capture v (base_table : string) (change : Trigger.change) =
     let delta_name = Compiler.delta_table v.compiled base_table in
     let delta = Catalog.find_table (Database.catalog v.db) delta_name in
     let width = Table.arity delta - 1 in
-    let captured = ref 0 in
     Trigger.without_hooks (Database.triggers v.db) (fun () ->
         let emit mult row =
           let row =
             if Array.length row = width then row else Array.sub row 0 width
           in
           Table.insert delta (Array.append row [| Value.Bool mult |]);
-          incr captured
+          v.pending_deltas <- v.pending_deltas + 1
         in
         List.iter (emit false) change.Trigger.deleted;
-        List.iter (emit true) change.Trigger.inserted);
-    add_pending v !captured
+        List.iter (emit true) change.Trigger.inserted)
   end
 
 (* --- refresh --- *)
@@ -178,7 +157,7 @@ let consolidate v =
                  (Compiler.base_tables v.compiled))
          in
          if removed > 0 then begin
-           add_pending v (-removed);
+           v.pending_deltas <- v.pending_deltas - removed;
            Metrics.add m_consolidated_rows removed
          end;
          if sp != Span.none then begin
@@ -201,125 +180,10 @@ let run_step v name stmts =
         end)
 
 module Clock = Openivm_obs.Clock
-module Zset = Openivm_dbsp.Zset
-
-(* --- domain-parallel delta propagation (Flags.domains > 1) --- *)
-
-let m_parallel_shards =
-  Metrics.counter "openivm_parallel_shards_total"
-    ~help:"delta shards propagated on parallel refresh workers"
-
-let m_parallel_merge_seconds =
-  Metrics.histogram "openivm_parallel_merge_seconds"
-    ~help:"time spent merging per-shard propagation results"
-
-let shard_name table i = Printf.sprintf "%s__shard%d" table i
-
-(** Effective fan-out for this view's refresh: its [domains] flag, except
-    on a worker domain (a level-parallel tick refreshing this view), where
-    nesting is suppressed. *)
-let effective_domains v =
-  let domains = v.compiled.Compiler.flags.Flags.domains in
-  Parallel.width ~domains domains
-
-(** Run deferred index maintenance on every table now, so the read
-    snapshot workers are about to share is mutation-free: a PK lookup on
-    a stale-indexed table rebuilds the index in place ({!Table.ensure_pk}),
-    which two domains must never attempt concurrently. *)
-let warm_all_indexes db =
-  let catalog = Database.catalog db in
-  List.iter
-    (fun name -> Table.warm_indexes (Catalog.find_table catalog name))
-    (Catalog.table_names catalog)
-
-(** Hash-partition [src]'s rows into [parts] fresh shard tables
-    ([<name>__shard<i>], same schema, no PK, catalog-registered so the
-    planner can resolve them). [key_positions = None] hashes the whole
-    row — valid for fill, which is linear in each delta; group-keyed
-    partitioning ([Some ps]) colocates whole groups, which combine
-    needs. *)
-let build_shards catalog (src : Table.t) ~key_positions ~parts =
-  let shards =
-    Array.init parts (fun i ->
-        let name = shard_name src.Table.name i in
-        match Catalog.find_table_opt catalog name with
-        | Some t -> ignore (Table.truncate t); t
-        | None ->
-          let t =
-            Table.create ~name ~schema:src.Table.schema ~primary_key:[||]
-          in
-          Catalog.add_table catalog t;
-          t)
-  in
-  Table.iter_rows
-    (fun row ->
-       let key =
-         match key_positions with
-         | None -> row
-         | Some ps -> Array.map (fun p -> row.(p)) ps
-       in
-       let h = Row.hash key land max_int in
-       Table.insert shards.(h mod parts) row)
-    src;
-  shards
-
-let drop_shards catalog (shards : Table.t array) =
-  Array.iter
-    (fun (t : Table.t) -> Catalog.drop_table catalog t.Table.name ~if_exists:true)
-    shards
-
-(** A SELECT's result rows (multiplicity column last) as a Z-set. *)
-let zset_of_mult_rows (rows : Row.t list) : Zset.t =
-  let z = Zset.create ~size:(List.length rows + 1) () in
-  List.iter
-    (fun row ->
-       let n = Array.length row - 1 in
-       let sign = match row.(n) with Value.Bool false -> -1 | _ -> 1 in
-       Zset.add z (Array.sub row 0 n) sign)
-    rows;
-  z
-
-(** Back to delta-table encoding: |w| copies per row, mult = sign. *)
-let mult_rows_of_zset (z : Zset.t) : Row.t list =
-  Zset.fold
-    (fun prefix w acc ->
-       let row = Array.append prefix [| Value.Bool (w > 0) |] in
-       let rec rep n acc = if n = 0 then acc else rep (n - 1) (row :: acc) in
-       rep (abs w) acc)
-    z []
-
-(** Execute the SELECT of a rewritten propagation statement on [parts]
-    worker domains (one shard each, renamed via [rename i]), then insert
-    the merged result into [target] on the calling domain. [merge] folds
-    the per-shard row lists into the rows to insert. *)
-let scatter_gather v ~parts ~rename ~target ~merge =
-  let catalog = Database.catalog v.db in
-  let tasks =
-    Array.init parts (fun i ->
-        let qi = rename i in
-        fun () ->
-          Span.with_span "parallel.shard"
-            ~attrs:[ ("view", Span.Str (view_name v)); ("shard", Span.Int i) ]
-            (fun _ -> (Database.run_select v.db qi).Database.rows))
-  in
-  let results = Parallel.map tasks in
-  Metrics.add m_parallel_shards parts;
-  let t0 = Clock.now () in
-  let target_tbl = Catalog.find_table catalog target in
-  let rows =
-    List.map
-      (Dml.coerce_to_schema target_tbl.Table.schema)
-      (merge results)
-  in
-  Table.insert_many target_tbl rows;
-  Metrics.observe m_parallel_merge_seconds (Clock.now () -. t0);
-  let p = Database.profile v.db in
-  p.Database.rows_written <- p.Database.rows_written + List.length rows
 
 (** Fill statements whose FROM references an empty delta table are dead:
     every fill term is linear in each delta it reads, so one empty input
-    nullifies the term. Pruning them is an optimization in sequential
-    mode and load-balancing in parallel mode. *)
+    nullifies the term and skipping it saves a planned statement. *)
 let live_fill_stmts v =
   let catalog = Database.catalog v.db in
   let fill = v.compiled.Compiler.script.Propagate.fill in
@@ -344,130 +208,6 @@ let live_fill_stmts v =
                 (fun t -> List.mem t empty_deltas)
                 (Ast.select_tables q)))
       fill
-
-(** Step 1 in parallel: shard the largest pending delta table [parts]
-    ways by whole-row hash; every fill term that reads it runs once per
-    shard (read-only SELECT on a worker domain) against the shard plus
-    the unsharded remainder of the snapshot. Correct by linearity of the
-    fill in each delta: the signed union of per-shard term outputs equals
-    the term over the whole delta, and delta_V's consumers re-aggregate
-    per group, so splitting a group's partial states across shard outputs
-    is immaterial. The merged Z-set nets exact +/- duplicates across
-    shards — a consolidation sequential fill leaves to combine.
-
-    Returns the number of statements sharded (0 = nothing was worth
-    parallelizing; the caller already ran nothing — statements not
-    referencing the sharded delta run sequentially here either way). *)
-let fill_parallel v ~parts (stmts : Ast.stmt list) : int =
-  let catalog = Database.catalog v.db in
-  let deltas =
-    List.filter_map
-      (fun base ->
-         let t =
-           Catalog.find_table catalog (Compiler.delta_table v.compiled base)
-         in
-         if Table.row_count t > 0 then Some t else None)
-      (Compiler.base_tables v.compiled)
-  in
-  let by_size =
-    List.sort (fun a b -> compare (Table.row_count b) (Table.row_count a)) deltas
-  in
-  match by_size with
-  | big :: _ when Table.row_count big >= parts ->
-    warm_all_indexes v.db;
-    let shards = build_shards catalog big ~key_positions:None ~parts in
-    Fun.protect ~finally:(fun () -> drop_shards catalog shards)
-      (fun () ->
-         List.fold_left
-           (fun sharded stmt ->
-              match Propagate.insert_select_parts stmt with
-              | Some (target, q)
-                when List.mem big.Table.name (Ast.select_tables q) ->
-                scatter_gather v ~parts ~target
-                  ~rename:(fun i ->
-                    Ast.rename_tables
-                      (fun t ->
-                         if String.equal t big.Table.name then
-                           shard_name big.Table.name i
-                         else t)
-                      q)
-                  ~merge:(fun results ->
-                    mult_rows_of_zset
-                      (Zset.merge (Array.map zset_of_mult_rows results)));
-                sharded + 1
-              | _ ->
-                exec_stmts v.db [ stmt ];
-                sharded)
-           0 stmts)
-  | _ ->
-    exec_stmts v.db stmts;
-    0
-
-(** Step 2 in parallel, for the swap strategies over a grouped view:
-    partition both combine inputs — the view's backing table and delta_V
-    — by group-key hash, run the stage-filling SELECT per shard on worker
-    domains, and concatenate into the stage table. Group-keyed
-    partitioning makes each shard's groups complete and pairwise disjoint
-    across shards, so per-shard regrouping (HAVING and AVG included) and
-    per-shard full-outer-joins compose exactly. The swap tail (delete
-    view; insert from stage; drop stage) stays sequential — those writes
-    feed downstream capture. Returns true when handled; false = caller
-    runs the whole combine sequentially. *)
-let combine_parallel v ~parts : bool =
-  let shape = v.compiled.Compiler.shape in
-  let script = v.compiled.Compiler.script in
-  let stage = Shape.stage_table shape in
-  let viewname = shape.Shape.view_name in
-  let dv = Compiler.delta_view v.compiled in
-  let group_names = List.map snd (Shape.group_cols shape) in
-  match script.Propagate.kind, script.Propagate.combine, group_names with
-  | (Propagate.Regroup | Propagate.Outer_merge), first :: rest, _ :: _ ->
-    (match Propagate.insert_select_parts first with
-     | Some (target, q) when String.equal target stage ->
-       let catalog = Database.catalog v.db in
-       let vt = Catalog.find_table catalog viewname in
-       let dt = Catalog.find_table catalog dv in
-       let key_positions (tbl : Table.t) =
-         Array.of_list
-           (List.map
-              (fun n ->
-                 fst (Schema.find tbl.Table.schema ~qualifier:None ~name:n))
-              group_names)
-       in
-       (match key_positions vt, key_positions dt with
-        | exception _ -> false
-        | vk, dk ->
-          if Table.row_count vt + Table.row_count dt < parts then false
-          else begin
-            warm_all_indexes v.db;
-            let vshards =
-              build_shards catalog vt ~key_positions:(Some vk) ~parts
-            in
-            let dshards =
-              build_shards catalog dt ~key_positions:(Some dk) ~parts
-            in
-            Fun.protect
-              ~finally:(fun () ->
-                drop_shards catalog vshards;
-                drop_shards catalog dshards)
-              (fun () ->
-                 scatter_gather v ~parts ~target:stage
-                   ~rename:(fun i ->
-                     Ast.rename_tables
-                       (fun t ->
-                          if String.equal t viewname then shard_name viewname i
-                          else if String.equal t dv then shard_name dv i
-                          else t)
-                       q)
-                   ~merge:(fun results ->
-                     Array.fold_left
-                       (fun acc rs -> List.rev_append rs acc)
-                       [] results));
-            exec_stmts v.db rest;
-            true
-          end)
-     | _ -> false)
-  | _ -> false
 
 (** Run [f] with the database's executor switched to this set of flags'
     engine, restoring the previous engine afterwards — a database can host
@@ -504,15 +244,8 @@ let with_exec_engine db (flags : Flags.t) f =
 
     Capture never re-triggers itself: no hooks are registered on delta,
     stage or metadata tables, and {!capture}'s own inserts run under
-    [without_hooks].
-
-    [~standalone:false] is the level-parallel tick's entry: the caller
-    has already pinned the executor engine for the whole level (so the
-    per-view engine swap is skipped — it would race across workers) and
-    refreshes every view in DAG-level order itself (so the eager
-    downstream post-pass is skipped — the tick reaches those views at
-    their own level). *)
-let rec force_refresh_local ?(standalone = true) v =
+    [without_hooks]. *)
+let rec force_refresh_local v =
   let t0 = Clock.now () in
   let script = v.compiled.Compiler.script in
   let strategy =
@@ -530,52 +263,15 @@ let rec force_refresh_local ?(standalone = true) v =
        Fun.protect
          ~finally:(fun () -> v.in_refresh <- false)
          (fun () ->
-            (if standalone then with_exec_engine v.db v.compiled.Compiler.flags
-             else fun f -> f ())
-            @@ fun () ->
+            with_exec_engine v.db v.compiled.Compiler.flags @@ fun () ->
             consolidate v;
-            let parts = effective_domains v in
-            (* fill: prune dead terms, then shard the dominant delta *)
-            (let stmts = live_fill_stmts v in
-             if stmts <> [] then
-               Span.with_span "propagate.fill" (fun sp ->
-                   let p = Database.profile v.db in
-                   let w0 = p.Database.rows_written
-                   and r0 = p.Database.rows_read in
-                   let sharded =
-                     if parts > 1 then fill_parallel v ~parts stmts
-                     else begin exec_stmts v.db stmts; 0 end
-                   in
-                   if sp != Span.none then begin
-                     Span.set_int sp "statements" (List.length stmts);
-                     Span.set_int sp "sharded_statements" sharded;
-                     Span.set_int sp "rows_written"
-                       (p.Database.rows_written - w0);
-                     Span.set_int sp "rows_read" (p.Database.rows_read - r0)
-                   end));
-            (* combine: group-partitioned stage fill for swap strategies *)
-            (let stmts = script.Propagate.combine in
-             if stmts <> [] then
-               Span.with_span "propagate.combine" (fun sp ->
-                   let p = Database.profile v.db in
-                   let w0 = p.Database.rows_written
-                   and r0 = p.Database.rows_read in
-                   let parallel =
-                     parts > 1 && combine_parallel v ~parts
-                   in
-                   if not parallel then exec_stmts v.db stmts;
-                   if sp != Span.none then begin
-                     Span.set_int sp "statements" (List.length stmts);
-                     Span.set_int sp "parallel" (if parallel then parts else 1);
-                     Span.set_int sp "rows_written"
-                       (p.Database.rows_written - w0);
-                     Span.set_int sp "rows_read" (p.Database.rows_read - r0)
-                   end));
+            run_step v "fill" (live_fill_stmts v);
+            run_step v "combine" script.Propagate.combine;
             run_step v "prune" script.Propagate.prune;
             run_step v "cleanup" script.Propagate.cleanup;
             Metrics.incr (m_refresh_total strategy);
             Metrics.add m_delta_rows_folded v.pending_deltas;
-            set_pending v 0;
+            v.pending_deltas <- 0;
             v.refresh_count <- v.refresh_count + 1;
             let dt = Clock.now () -. t0 in
             Metrics.observe (m_refresh_seconds strategy) dt;
@@ -583,19 +279,18 @@ let rec force_refresh_local ?(standalone = true) v =
             (* the steps above fed ΔV to downstream delta tables; fold it
                into eager dependents now that V is consistent (we stay
                marked in_refresh so their upstream pull skips us) *)
-            if standalone then
-              match v.downstreams with
-              | [] -> ()
-              | ds ->
-                Span.with_span "cascade.downstream"
-                  ~attrs:[ ("view", Span.Str (view_name v)) ]
-                  (fun _ ->
-                     List.iter
-                       (fun d ->
-                          if d.compiled.Compiler.flags.Flags.refresh
-                             = Flags.Eager
-                          then refresh d)
-                       ds)))
+            match v.downstreams with
+            | [] -> ()
+            | ds ->
+              Span.with_span "cascade.downstream"
+                ~attrs:[ ("view", Span.Str (view_name v)) ]
+                (fun _ ->
+                   List.iter
+                     (fun d ->
+                        if d.compiled.Compiler.flags.Flags.refresh
+                           = Flags.Eager
+                        then refresh d)
+                     ds)))
 
 and refresh_upstreams v =
   match v.upstreams with
@@ -859,25 +554,27 @@ let backfill_chunk v ~chunk_rows ~index =
                     if Array.length row = width then row
                     else Array.sub row 0 width
                   in
-                  Table.insert delta (Array.append row [| Value.Bool true |]))
+                  Table.insert delta (Array.append row [| Value.Bool true |]);
+                  v.pending_deltas <- v.pending_deltas + 1)
                chunk);
-         add_pending v (List.length chunk);
          force_refresh_local v;
          List.length chunk
        end)
 
+(** IVM202 unless no maintained view reads [name], as a base table or as
+    an upstream view. *)
+let refuse_drop_if_read catalog name =
+  match Catalog.mat_dependents catalog name with
+  | [] -> ()
+  | dependents ->
+    let d = Openivm_sql.Diagnostic.cascade_dependents ~name ~dependents () in
+    Error.fail "%s: %s" d.Openivm_sql.Diagnostic.code
+      d.Openivm_sql.Diagnostic.message
+
 let uninstall v =
   let db = v.db in
   let catalog = Database.catalog db in
-  (match Catalog.mat_dependents catalog (view_name v) with
-   | [] -> ()
-   | dependents ->
-     let d =
-       Openivm_sql.Diagnostic.cascade_dependents ~view:(view_name v)
-         ~dependents ()
-     in
-     Error.fail "%s: %s" d.Openivm_sql.Diagnostic.code
-       d.Openivm_sql.Diagnostic.message);
+  refuse_drop_if_read catalog (view_name v);
   v.capture_enabled <- false;
   List.iter
     (fun u ->
@@ -920,92 +617,22 @@ let find_view ext name =
 
 (** Tick-batched refresh: fold every maintained view's pending deltas in
     one pass, upstreams before downstreams so each propagation runs at
-    most once per tick — the serving layer's refresh entry point.
-
-    With [ext_flags.domains > 1] and the tick covering every view (the
-    default [only]), views sharing a [dag_level] are independent — no
-    cascade edge connects them — and refresh concurrently, one worker
-    domain each, with a barrier between levels. Level order makes the
-    per-view upstream pull redundant (each level sees every lower level
-    already folded), so workers call straight into the local propagation;
-    the executor engine is pinned once per level, which requires the
-    level's firing views to agree on it (mixed-engine levels fall back to
-    sequential). A filtered [only] also falls back: skipping a view under
-    the parallel regime would break the level-order invariant its
-    downstreams rely on. *)
+    most once per tick — the serving layer's refresh entry point. *)
 let refresh_tick ?(only = fun _ -> true) (ext : extension) : int =
   let views =
     List.stable_sort
       (fun a b -> compare (dag_level a) (dag_level b))
       ext.ext_views
   in
-  let sequential () =
-    List.fold_left
-      (fun ran v ->
-         if only v then begin
-           let before = v.refresh_count in
-           refresh v;
-           if v.refresh_count > before then ran + 1 else ran
-         end
-         else ran)
-      0 views
-  in
-  if ext.ext_flags.Flags.domains <= 1
-     || Parallel.in_worker ()
-     || not (List.for_all only views)
-  then sequential ()
-  else begin
-    let rec levels = function
-      | [] -> []
-      | v :: _ as vs ->
-        let l = dag_level v in
-        let same, rest = List.partition (fun w -> dag_level w = l) vs in
-        same :: levels rest
-    in
-    List.fold_left
-      (fun ran level_views ->
-         (* deltas may have arrived while lower levels refreshed, so the
-            firing set is decided per level, not up front *)
-         let fire =
-           List.filter
-             (fun v ->
-                v.pending_deltas > 0
-                || v.compiled.Compiler.script.Propagate.kind = Propagate.Full)
-             level_views
-         in
-         let engines =
-           List.sort_uniq compare
-             (List.map
-                (fun v -> v.compiled.Compiler.flags.Flags.exec_engine)
-                fire)
-         in
-         match fire, engines with
-         | [], _ -> ran
-         | _, [ engine ] ->
-           if List.length fire > 1 then warm_all_indexes ext.ext_db;
-           let db = ext.ext_db in
-           let saved = db.Database.exec_engine in
-           let saved_hint = db.Database.bulk_distinct_hint in
-           db.Database.exec_engine <- engine;
-           db.Database.bulk_distinct_hint <- true;
-           Fun.protect
-             ~finally:(fun () ->
-               db.Database.exec_engine <- saved;
-               db.Database.bulk_distinct_hint <- saved_hint)
-             (fun () ->
-                ignore
-                  (Parallel.map
-                     (Array.of_list
-                        (List.map
-                           (fun v () -> force_refresh_local ~standalone:false v)
-                           fire))));
-           ran + List.length fire
-         | _, _ ->
-           (* mixed executor engines on one level: refresh in order *)
-           List.iter (fun v -> force_refresh_local v) fire;
-           ran + List.length fire)
-      0 (levels views)
-  end
+  List.fold_left
+    (fun ran v ->
+       if only v then begin
+         let before = v.refresh_count in
+         refresh v;
+         if v.refresh_count > before then ran + 1 else ran
+       end
+       else ran)
+    0 views
 
 (** Refresh every lazily-maintained view a query touches — the engine-side
     counterpart of the paper's "implicitly calling a table function,
@@ -1042,6 +669,12 @@ let exec_ext (ext : extension) (sql : string) :
          List.filter (fun w -> not (String.equal (view_name w) name)) ext.ext_views;
        `Result (Database.Ok_msg (Printf.sprintf "dropped materialized view %s" name))
      | None -> assert false)
+  | Ast.Drop { kind = `Table; name; _ } as stmt ->
+    (* dropping a base table would leave its views reading a table that
+       no longer exists, or one recreated under the same name whose rows
+       they never saw *)
+    refuse_drop_if_read (Database.catalog ext.ext_db) name;
+    `Result (Database.exec_stmt ext.ext_db stmt)
   | Ast.Insert { table; _ } | Ast.Update { table; _ } | Ast.Delete { table; _ }
   | Ast.Truncate table
     when find_view ext table <> None ->

@@ -129,8 +129,9 @@ val exec_ext :
   [ `Result of Database.exec_result | `Installed of view ]
 (** Execute with the extension active: [CREATE MATERIALIZED VIEW] is
     intercepted and compiled; SELECTs over maintained views refresh them
-    first; [DROP TABLE v] on a maintained view uninstalls it; everything
-    else passes through. *)
+    first; [DROP TABLE v] on a maintained view uninstalls it; [DROP TABLE]
+    of anything a maintained view reads raises IVM202; everything else
+    passes through. *)
 
 val exec :
   ?flags:Flags.t -> Database.t -> string ->

@@ -85,39 +85,6 @@ let minus a b =
     operator I applied one step at a time. *)
 let accumulate ~into delta = iter (fun row w -> add into row w) delta
 
-(* --- partitioning (the multicore refresh carrier) --- *)
-
-(** Hash-partition into [parts] shards by [key] (default: the whole row).
-    Z-sets partition cleanly (DBSP): every linear operator distributes over
-    the shards, so sharded deltas can be propagated independently and
-    {!merge}d back by signed addition. The shard function is
-    [Row.hash (key row) mod parts] — deterministic for a given row, and
-    rows that compare equal under the engine's numeric-coercing equality
-    hash alike ({!Openivm_engine.Value.hash}), so equal group keys always
-    colocate. *)
-let partition ?key ~parts z =
-  if parts <= 0 then invalid_arg "Zset.partition: parts must be positive";
-  let key = match key with Some f -> f | None -> Fun.id in
-  let shards =
-    Array.init parts (fun _ ->
-        create ~size:(cardinality z / parts + 1) ())
-  in
-  iter
-    (fun row w ->
-       let h = Row.hash (key row) land max_int in
-       add shards.(h mod parts) row w)
-    z;
-  shards
-
-(** Signed union of per-shard results: weights add across shards. The
-    inverse of {!partition} (up to re-consolidation: a row emitted by
-    several shards nets to one entry). *)
-let merge (shards : t array) : t =
-  let total = Array.fold_left (fun acc s -> acc + cardinality s) 0 shards in
-  let z = create ~size:(total + 1) () in
-  Array.iter (fun s -> accumulate ~into:z s) shards;
-  z
-
 (* --- operators (all weight-linear except [distinct]) --- *)
 
 let map (f : Row.t -> Row.t) z =

@@ -38,17 +38,6 @@ val minus : t -> t -> t
 val accumulate : into:t -> t -> unit
 (** [accumulate ~into delta] is single-step integration: [into += delta]. *)
 
-val partition : ?key:(Row.t -> Row.t) -> parts:int -> t -> t array
-(** Deterministic hash-partition into [parts] shards by [key] (default:
-    the whole row). Rows with equal keys — under the engine's
-    numeric-coercing equality — always land in the same shard, so a
-    group/join key function yields shards that can be propagated
-    independently. Raises [Invalid_argument] when [parts <= 0]. *)
-
-val merge : t array -> t
-(** Signed union of per-shard results (weights add): the inverse of
-    {!partition}, and the merge step of parallel propagation. *)
-
 val map : (Row.t -> Row.t) -> t -> t
 (** Weight-linear; rows mapping to the same image merge their weights. *)
 

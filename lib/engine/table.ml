@@ -36,15 +36,11 @@ let create ~name ~(schema : Schema.t) ~primary_key =
 let arity t = Schema.arity t.schema
 let row_count t = t.live
 
-(* scratch for key encoding: never held across calls, so one buffer per
-   domain is safe and saves an allocation per row on the DML hot path.
-   Domain-local (not global) because parallel refresh workers encode keys
-   concurrently during sharded propagation. *)
-let key_buf_key : Buffer.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Buffer.create 64)
+(* scratch for key encoding: never held across calls, so a single shared
+   buffer is safe and saves an allocation per row on the DML hot path *)
+let key_buf = Buffer.create 64
 
 let key_of_row (positions : int array) (row : Row.t) : string =
-  let key_buf = Domain.DLS.get key_buf_key in
   Buffer.clear key_buf;
   Array.iter (fun i -> Value.encode_into key_buf row.(i)) positions;
   Buffer.contents key_buf
@@ -101,12 +97,6 @@ let ensure_pk t =
       done;
       t.pk_index <- Some (Art.of_sorted arr)
   end
-
-(** Force any lazily-deferred index maintenance now. Called by the
-    parallel refresh driver before fanning read-only work out to worker
-    domains: PK reads otherwise mutate the table ([ensure_pk] rebuild)
-    mid-parallel-section. *)
-let warm_indexes t = ensure_pk t
 
 let find_secondary t name =
   List.find_opt (fun ix -> String.equal ix.index_name name) t.secondary

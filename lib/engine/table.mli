@@ -72,12 +72,6 @@ val delete_where : t -> (Row.t -> bool) -> Row.t list
 val update_where : t -> (Row.t -> bool) -> (Row.t -> Row.t) -> (Row.t * Row.t) list
 val truncate : t -> int
 
-val warm_indexes : t -> unit
-(** Force deferred (lazy) index maintenance — the stale-PK bulk rebuild —
-    to run now, so subsequent reads are mutation-free. The parallel
-    refresh driver calls this before sharing a table read-only across
-    domains. *)
-
 val index_lookup : t -> index -> string -> Row.t list
 val index_slots : t -> index -> string -> int list
 val pk_slot : t -> string -> int option

@@ -14,39 +14,15 @@ type change = {
 
 type hook = change -> unit
 
-(* Dispatch state (suppression depth, in-fire flag, deferred queue) is
-   per-domain: a parallel refresh worker running with hooks disabled must
-   not suppress — or drain the deferrals of — a dispatch on another
-   domain. The hook list itself stays shared: registration happens at
-   install time, never inside a parallel section. *)
-type dstate = {
-  mutable suppress : int;  (** [without_hooks] nesting depth; >0 = off *)
-  mutable firing : bool;   (** inside the outermost {!fire} dispatch *)
-  mutable deferred : (unit -> unit) list;  (** run after that dispatch, LIFO *)
-}
-
 type t = {
   mutable hooks : (string option * string * hook) list;
       (** (table filter, hook name, callback); None = all tables *)
-  states : (int, dstate) Hashtbl.t;  (** domain id -> dispatch state *)
-  st_lock : Mutex.t;  (** guards [states] lookup/insert only *)
+  mutable suppress : int;  (** [without_hooks] nesting depth; >0 = off *)
+  mutable firing : bool;  (** inside the outermost {!fire} dispatch *)
+  mutable deferred : (unit -> unit) list;  (** run after that dispatch, LIFO *)
 }
 
-let create () = { hooks = []; states = Hashtbl.create 4; st_lock = Mutex.create () }
-
-let state t =
-  let id = (Domain.self () :> int) in
-  Mutex.lock t.st_lock;
-  let s =
-    match Hashtbl.find_opt t.states id with
-    | Some s -> s
-    | None ->
-      let s = { suppress = 0; firing = false; deferred = [] } in
-      Hashtbl.replace t.states id s;
-      s
-  in
-  Mutex.unlock t.st_lock;
-  s
+let create () = { hooks = []; suppress = 0; firing = false; deferred = [] }
 
 let register t ?table ~name hook =
   t.hooks <- (table, name, hook) :: t.hooks
@@ -58,7 +34,7 @@ let unregister t ~name =
     (e.g. whole-table DELETE as a truncate) are only legal when nothing is
     listening, because they skip collecting the per-row change images. *)
 let has_hooks t ~table =
-  (state t).suppress = 0
+  t.suppress = 0
   && List.exists
        (fun (filter, _, _) ->
           match filter with None -> true | Some tbl -> String.equal tbl table)
@@ -69,24 +45,21 @@ let has_hooks t ~table =
     so a view over both a base table and an upstream view sees all of the
     statement's deltas in one refresh). Outside a dispatch, runs [f]
     immediately. *)
-let defer t f =
-  let s = state t in
-  if s.firing then s.deferred <- f :: s.deferred else f ()
+let defer t f = if t.firing then t.deferred <- f :: t.deferred else f ()
 
-let pending_deferred t = List.length (state t).deferred
+let pending_deferred t = List.length t.deferred
 
 (** Forget queued deferred work without running it — the rollback path:
     after a failed statement, its deferred refreshes must not fire over
     half-applied (or restored) state on some later dispatch. *)
-let clear_deferred t = (state t).deferred <- []
+let clear_deferred t = t.deferred <- []
 
 let drain t =
-  let s = state t in
   let rec loop () =
-    match s.deferred with
+    match t.deferred with
     | [] -> ()
     | fs ->
-      s.deferred <- [];
+      t.deferred <- [];
       List.iter (fun f -> f ()) (List.rev fs);
       loop ()
   in
@@ -95,10 +68,9 @@ let drain t =
   try loop () with e -> clear_deferred t; raise e
 
 let fire t (change : change) =
-  let s = state t in
-  if s.suppress = 0 && (change.inserted <> [] || change.deleted <> []) then begin
-    let outermost = not s.firing in
-    s.firing <- true;
+  if t.suppress = 0 && (change.inserted <> [] || change.deleted <> []) then begin
+    let outermost = not t.firing in
+    t.firing <- true;
     match
       List.iter
         (fun (filter, _, hook) ->
@@ -107,20 +79,19 @@ let fire t (change : change) =
            | _ -> hook change)
         (List.rev t.hooks)
     with
-    | () -> if outermost then begin s.firing <- false; drain t end
+    | () -> if outermost then begin t.firing <- false; drain t end
     | exception e ->
       (* a failed statement's deferred refreshes are discarded, NOT run:
          draining during exception unwind would propagate deltas of a
          half-applied statement (and leak ghost deltas past a caller's
          snapshot rollback) *)
-      if outermost then begin s.firing <- false; clear_deferred t end;
+      if outermost then begin t.firing <- false; clear_deferred t end;
       raise e
   end
 
-(** Run [f] with hooks disabled on the calling domain — used when the IVM
-    runner itself mutates delta tables, which must not re-trigger capture.
-    Nested calls stack; other domains' dispatch is unaffected. *)
+(** Run [f] with hooks disabled — used when the IVM runner itself mutates
+    delta tables, which must not re-trigger capture. Nested calls stack:
+    dispatch resumes once the outermost call returns or raises. *)
 let without_hooks t f =
-  let s = state t in
-  s.suppress <- s.suppress + 1;
-  Fun.protect ~finally:(fun () -> s.suppress <- s.suppress - 1) f
+  t.suppress <- t.suppress + 1;
+  Fun.protect ~finally:(fun () -> t.suppress <- t.suppress - 1) f

@@ -15,7 +15,6 @@ type config = {
   strategies : Flags.combine_strategy list;  (** [] = every strategy *)
   dialects : Dialect.t list;                 (** [] = duckdb and postgres *)
   engines : Openivm_engine.Exec.engine list; (** [] = vector and row *)
-  domains : int list;                        (** [] = sequential only *)
   corpus_dir : string option;  (** where to save shrunk reproducers *)
   shrink : bool;
   crash_seed : int option;
@@ -27,8 +26,8 @@ type config = {
 
 let default =
   { base_seed = 42; cases = 100; max_steps = 30; queries = 4;
-    strategies = []; dialects = []; engines = []; domains = [];
-    corpus_dir = None; shrink = true; crash_seed = None; log = ignore }
+    strategies = []; dialects = []; engines = []; corpus_dir = None;
+    shrink = true; crash_seed = None; log = ignore }
 
 type case_failure = {
   failure : Oracle.failure;
@@ -103,8 +102,7 @@ let run (cfg : config) : report =
       { (Gen.case ~max_steps:cfg.max_steps ~queries:cfg.queries ~seed ()) with
         Case.strategies = cfg.strategies;
         dialects = cfg.dialects;
-        engines = cfg.engines;
-        domains = cfg.domains }
+        engines = cfg.engines }
     in
     let t_case = Clock.now () in
     let outcome =

@@ -13,10 +13,6 @@ type config = {
   strategies : Flags.combine_strategy list;  (** [] = every strategy *)
   dialects : Dialect.t list;                 (** [] = duckdb and postgres *)
   engines : Openivm_engine.Exec.engine list; (** [] = vector and row *)
-  domains : int list;
-      (** refresh-parallelism axis: each width multiplies the matrix, and
-          every generated case must hold at all of them ([] = [1],
-          strictly sequential) *)
   corpus_dir : string option;  (** where to save shrunk reproducers *)
   shrink : bool;
   crash_seed : int option;

@@ -24,7 +24,6 @@ type t = {
   strategies : Flags.combine_strategy list;  (** [] = every strategy *)
   dialects : Dialect.t list;                 (** [] = duckdb and postgres *)
   engines : Exec.engine list;                (** [] = vector and row *)
-  domains : int list;                        (** [] = sequential only *)
 }
 
 let all_dialects = [ Dialect.duckdb; Dialect.postgres ]
@@ -35,18 +34,16 @@ let strategies c =
 
 let dialects c = if c.dialects = [] then all_dialects else c.dialects
 let engines c = if c.engines = [] then all_engines else c.engines
-let domains c = if c.domains = [] then [ 1 ] else c.domains
 
 let empty =
   { seed = 0; max_steps = 0; note = ""; schema = []; setup = []; views = [];
-    workload = []; queries = []; strategies = []; dialects = []; engines = [];
-    domains = [] }
+    workload = []; queries = []; strategies = []; dialects = []; engines = [] }
 
 (** The exact CLI invocation that regenerates and re-checks this case —
     every oracle failure message embeds it so failures are one-paste
     reproducible. *)
-let command ?strategy ?dialect ?engine ?domains ?crash_seed c =
-  Printf.sprintf "openivm fuzz --seed %d --cases 1 --max-steps %d%s%s%s%s%s"
+let command ?strategy ?dialect ?engine ?crash_seed c =
+  Printf.sprintf "openivm fuzz --seed %d --cases 1 --max-steps %d%s%s%s%s"
     c.seed c.max_steps
     (match strategy with
      | Some s -> " --strategy " ^ Flags.strategy_to_string s
@@ -57,9 +54,6 @@ let command ?strategy ?dialect ?engine ?domains ?crash_seed c =
     (match engine with
      | Some e -> " --exec " ^ Exec.engine_to_string e
      | None -> "")
-    (match domains with
-     | Some n when n > 1 -> Printf.sprintf " --domains %d" n
-     | _ -> "")
     (match crash_seed with
      | Some n -> Printf.sprintf " --crash-seed %d" n
      | None -> "")
@@ -95,9 +89,6 @@ let to_string c =
   line "-- strategies: %s" (strategies_to_string c.strategies);
   line "-- dialects: %s" (dialects_to_string c.dialects);
   line "-- engines: %s" (engines_to_string c.engines);
-  if c.domains <> [] then
-    line "-- domains: %s"
-      (String.concat "," (List.map string_of_int c.domains));
   if c.note <> "" then line "-- note: %s" c.note;
   let section name stmts =
     if stmts <> [] then begin
@@ -154,17 +145,6 @@ let parse_engines s : (Exec.engine list, string) result =
          | None -> Error (Printf.sprintf "unknown engine %S" (strip n)))
     in
     go [] names
-
-let parse_domains s : (int list, string) result =
-  let names = String.split_on_char ',' s in
-  let rec go acc = function
-    | [] -> Ok (List.rev acc)
-    | n :: rest ->
-      (match int_of_string_opt (strip n) with
-       | Some d when d >= 1 -> go (d :: acc) rest
-       | _ -> Error (Printf.sprintf "bad domain count %S" (strip n)))
-  in
-  go [] names
 
 let header_value line key =
   let prefix = "-- " ^ key ^ ":" in
@@ -236,15 +216,9 @@ let of_string text : (t, string) result =
                            | Ok l -> case := { !case with engines = l }
                            | Error e -> fail e)
                         | None ->
-                          (match header_value line "domains" with
-                           | Some v ->
-                             (match parse_domains v with
-                              | Ok l -> case := { !case with domains = l }
-                              | Error e -> fail e)
-                           | None ->
-                             (match header_value line "note" with
-                              | Some v -> case := { !case with note = v }
-                              | None -> ()  (* other comments ignored *))))))))
+                          (match header_value line "note" with
+                           | Some v -> case := { !case with note = v }
+                           | None -> ()  (* any other comment is ignored *)))))))
        end
        else add line)
     lines;

@@ -20,7 +20,6 @@ type t = {
   strategies : Flags.combine_strategy list;  (** [] = every strategy *)
   dialects : Dialect.t list;                 (** [] = duckdb and postgres *)
   engines : Exec.engine list;                (** [] = vector and row *)
-  domains : int list;                        (** [] = sequential only *)
 }
 
 val all_dialects : Dialect.t list
@@ -39,17 +38,11 @@ val dialects : t -> Dialect.t list
 val engines : t -> Exec.engine list
 (** The effective executor list ([all_engines] when unset). *)
 
-val domains : t -> int list
-(** The effective refresh-parallelism axis ([[1]] — strictly sequential —
-    when unset). Each domain count is one more matrix dimension: the
-    maintained view must equal full recompute at every width, so parallel
-    propagation is differentially checked against the sequential path. *)
-
 val empty : t
 
 val command :
   ?strategy:Flags.combine_strategy -> ?dialect:Dialect.t ->
-  ?engine:Exec.engine -> ?domains:int -> ?crash_seed:int -> t -> string
+  ?engine:Exec.engine -> ?crash_seed:int -> t -> string
 (** The exact [openivm fuzz] CLI invocation that regenerates and re-checks
     this case — embedded in every failure message. [crash_seed] replays
     the {!Durable} crash-injection axis too. *)

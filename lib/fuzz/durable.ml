@@ -154,7 +154,6 @@ let check ~crash_seed (case : Case.t) : int * Oracle.failure option =
                 strategy = Some strategy;
                 dialect = None;
                 engine = None;
-                domains = None;
                 point = Oracle.Durability;
                 message =
                   Printf.sprintf "[%s] %s: %s\n  reproduce: %s"

@@ -17,7 +17,6 @@ module Dialect = Openivm_sql.Dialect
 module Exec = Openivm_engine.Exec
 open Openivm_engine
 
-
 type point =
   | Install            (** compiling / installing the view *)
   | Initial            (** consistency right after the initial load *)
@@ -30,7 +29,6 @@ type failure = {
   strategy : Flags.combine_strategy option;
   dialect : Dialect.t option;
   engine : Exec.engine option;
-  domains : int option;
   point : point;
   message : string;    (** human-readable, ends with the reproducer *)
 }
@@ -67,7 +65,7 @@ exception Check_failed of point * string
 
 (* --- the view differential: one (strategy, dialect) configuration --- *)
 
-let run_view_config (case : Case.t) strategy dialect engine domains :
+let run_view_config (case : Case.t) strategy dialect engine :
   (int, point * string) result =
   match case.Case.views with
   | [] -> Ok 0
@@ -79,9 +77,7 @@ let run_view_config (case : Case.t) strategy dialect engine domains :
        db.Database.exec_engine <- engine;
        exec_all db case.Case.schema;
        exec_all db case.Case.setup;
-       let flags =
-         { Flags.default with strategy; dialect; exec_engine = engine; domains }
-       in
+       let flags = { Flags.default with strategy; dialect; exec_engine = engine } in
        (* install in order, each view registered as a potential upstream
           of the next — this is how cascade stacks come up in the wild *)
        let views =
@@ -226,18 +222,11 @@ let run_queries (case : Case.t) (engines : Exec.engine list) :
 
 (* --- the full matrix --- *)
 
-let make_failure case ?strategy ?dialect ?engine ?domains (point, msg) =
+let make_failure case ?strategy ?dialect ?engine (point, msg) =
   let engine_tag =
     match engine with
     | Some e -> Exec.engine_to_string e
     | None -> ""
-  in
-  let engine_tag =
-    match domains with
-    | Some n when n > 1 ->
-      (if engine_tag = "" then "" else engine_tag ^ "/")
-      ^ Printf.sprintf "domains=%d" n
-    | _ -> engine_tag
   in
   let where =
     match strategy, dialect with
@@ -246,20 +235,13 @@ let make_failure case ?strategy ?dialect ?engine ?domains (point, msg) =
         (if engine_tag = "" then "" else "/" ^ engine_tag)
     | _ -> if engine_tag = "" then "" else Printf.sprintf "[%s] " engine_tag
   in
-  { case; strategy; dialect; engine; domains; point;
+  { case; strategy; dialect; engine; point;
     message =
       Printf.sprintf "%s%s: %s\n  reproduce: %s" where (point_to_string point)
         msg
-        (Case.command ?strategy ?dialect ?engine ?domains case) }
+        (Case.command ?strategy ?dialect ?engine case) }
 
 let run (case : Case.t) : outcome =
-  (* the --domains axis is a correctness matrix, not a performance
-     setting: a case that fails only at domains > cores must replay
-     identically on a single-core box, so the oracle lifts the width cap
-     for as long as the process keeps fuzzing. Set here, not at module
-     init: this library is linked into the whole CLI, and `openivm
-     stats`/`serve` must keep the production cap. *)
-  Openivm.Parallel.oversubscribe := true;
   let checks = ref 0 in
   let engines = Case.engines case in
   match run_queries case engines with
@@ -269,25 +251,20 @@ let run (case : Case.t) : outcome =
     checks := !checks + n;
     let rec over_configs = function
       | [] -> { checks = !checks; failure = None }
-      | (strategy, dialect, engine, domains) :: rest ->
-        (match run_view_config case strategy dialect engine domains with
+      | (strategy, dialect, engine) :: rest ->
+        (match run_view_config case strategy dialect engine with
          | Ok n ->
            checks := !checks + n;
            over_configs rest
          | Error e ->
            { checks = !checks;
-             failure =
-               Some (make_failure case ~strategy ~dialect ~engine ~domains e) })
+             failure = Some (make_failure case ~strategy ~dialect ~engine e) })
     in
     over_configs
       (List.concat_map
          (fun s ->
             List.concat_map
-              (fun d ->
-                 List.concat_map
-                   (fun e ->
-                      List.map (fun p -> (s, d, e, p)) (Case.domains case))
-                   engines)
+              (fun d -> List.map (fun e -> (s, d, e)) engines)
               (Case.dialects case))
          (Case.strategies case))
 

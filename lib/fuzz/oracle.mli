@@ -21,7 +21,6 @@ type failure = {
   strategy : Flags.combine_strategy option;
   dialect : Dialect.t option;
   engine : Exec.engine option;
-  domains : int option;    (** refresh-parallelism width of the failing run *)
   point : point;
   message : string;    (** human-readable, ends with the reproducer *)
 }

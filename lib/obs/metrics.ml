@@ -30,7 +30,8 @@ type histogram = metric
 let registry : (string, metric) Hashtbl.t = Hashtbl.create 64
 
 (* One registry-wide lock makes every instrument safe to update from any
-   domain (parallel refresh workers included). Updates are per-statement
+   thread or domain (the server's session, ticker and /metrics threads
+   share this registry). Updates are per-statement
    or per-batch, never per-row, so an uncontended lock/unlock is noise
    next to the work being measured. *)
 let lock = Mutex.create ()

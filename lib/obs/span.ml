@@ -1,7 +1,7 @@
 (** Tracing spans over the IVM hot paths. See the interface for the
     contract; the implementation is a global trace buffer plus a
     per-domain stack of open spans for parent attribution, so spans can
-    be opened from parallel refresh workers. *)
+    be opened from any domain. *)
 
 type value =
   | Int of int
@@ -30,7 +30,7 @@ let enabled () = !enabled_flag
 let set_enabled b = enabled_flag := b
 
 (* The trace buffer and id counter are process-global (guarded by a lock /
-   an atomic) so spans opened from parallel refresh domains record safely;
+   an atomic) so spans opened from any thread or domain record safely;
    the open-span stack is domain-local, so parent attribution never
    crosses a domain boundary. *)
 let next_id = Atomic.make 1

@@ -238,72 +238,6 @@ and select_tables (s : select) =
   in
   cte_tables @ own @ set_tables
 
-(** Rewrite every base-table reference [t] in FROM clauses (at any depth:
-    CTE bodies, derived tables, set-operation arms, and uncorrelated
-    IN (SELECT ...) subqueries) to [f t]. A renamed [Table_ref] with no
-    alias keeps its original name as the alias, so column references
-    qualified by the old name stay valid — the parallel refresh driver
-    uses this to point a compiled propagation statement at per-shard
-    tables without touching its projections or predicates. Names bound by
-    an in-scope CTE are never renamed: they refer to the CTE, not to a
-    catalog table. *)
-let rename_tables (f : string -> string) (q : select) : select =
-  let rec go_select scope (s : select) =
-    (* each CTE body sees the outer scope plus the CTEs before it *)
-    let scope', ctes =
-      List.fold_left
-        (fun (scope, acc) (name, body) ->
-           (name :: scope, (name, go_select scope body) :: acc))
-        (scope, []) s.ctes
-    in
-    let ctes = List.rev ctes in
-    { s with
-      ctes;
-      projections =
-        List.map (fun (e, a) -> (go_expr scope' e, a)) s.projections;
-      from = Option.map (go_from scope') s.from;
-      where = Option.map (go_expr scope') s.where;
-      group_by = List.map (go_expr scope') s.group_by;
-      having = Option.map (go_expr scope') s.having;
-      order_by =
-        List.map
-          (fun o -> { o with order_expr = go_expr scope' o.order_expr })
-          s.order_by;
-      set_operation =
-        Option.map (fun (op, rhs) -> (op, go_select scope' rhs)) s.set_operation;
-    }
-  and go_from scope = function
-    | Table_ref (t, alias) when not (List.mem t scope) ->
-      let t' = f t in
-      if String.equal t' t then Table_ref (t, alias)
-      else Table_ref (t', Some (Option.value alias ~default:t))
-    | Table_ref _ as fr -> fr
-    | Subquery (s, alias) -> Subquery (go_select scope s, alias)
-    | Join (l, k, r, on) ->
-      Join (go_from scope l, k, go_from scope r, Option.map (go_expr scope) on)
-  and go_expr scope e =
-    match e with
-    | Lit _ | Column _ | Star -> e
-    | Unary (op, a) -> Unary (op, go_expr scope a)
-    | Binary (op, a, b) -> Binary (op, go_expr scope a, go_expr scope b)
-    | Func (name, args) -> Func (name, List.map (go_expr scope) args)
-    | Aggregate (a, d, arg) -> Aggregate (a, d, Option.map (go_expr scope) arg)
-    | Case (branches, default) ->
-      Case
-        ( List.map (fun (c, v) -> (go_expr scope c, go_expr scope v)) branches,
-          Option.map (go_expr scope) default )
-    | Cast (a, t) -> Cast (go_expr scope a, t)
-    | In_list (a, es, neg) ->
-      In_list (go_expr scope a, List.map (go_expr scope) es, neg)
-    | In_select (a, sub, neg) ->
-      In_select (go_expr scope a, go_select scope sub, neg)
-    | Between (a, lo, hi, neg) ->
-      Between (go_expr scope a, go_expr scope lo, go_expr scope hi, neg)
-    | Is_null (a, neg) -> Is_null (go_expr scope a, neg)
-    | Like (a, b, neg) -> Like (go_expr scope a, go_expr scope b, neg)
-  in
-  go_select [] q
-
 let rec map_expr f e =
   let e' =
     match e with

@@ -355,12 +355,12 @@ let cascade_cycle ?span ~view ~path () =
        "materialized view %s would create a dependency cycle: %s" view
        (String.concat " -> " path))
 
-let cascade_dependents ?span ~view ~dependents () =
+let cascade_dependents ?span ~name ~dependents () =
   err "IVM202" ?span
     ~hint:(Printf.sprintf "drop %s first" (String.concat ", " dependents))
     (Printf.sprintf
-       "cannot drop materialized view %s: %d dependent view(s) read it (%s)"
-       view (List.length dependents) (String.concat ", " dependents))
+       "cannot drop %s: %d materialized view(s) read it (%s)"
+       name (List.length dependents) (String.concat ", " dependents))
 
 let cascade_dml_on_view ?span ~view () =
   err "IVM203" ?span
@@ -428,5 +428,5 @@ let registry : (string * severity * string) list =
     ("IVM102", Hint, "AVG decomposed into SUM/COUNT state");
     ("IVM103", Warning, "unindexed group/join key");
     ("IVM201", Error, "materialized-view dependency cycle");
-    ("IVM202", Error, "drop of a view with dependent views");
+    ("IVM202", Error, "drop of a table or view that maintained views read");
     ("IVM203", Error, "direct DML on a maintained view") ]

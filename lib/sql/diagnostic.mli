@@ -86,7 +86,7 @@ val not_a_view : ?span:span -> unit -> t
 
 val cascade_cycle : ?span:span -> view:string -> path:string list -> unit -> t
 val cascade_dependents :
-  ?span:span -> view:string -> dependents:string list -> unit -> t
+  ?span:span -> name:string -> dependents:string list -> unit -> t
 val cascade_dml_on_view : ?span:span -> view:string -> unit -> t
 
 val min_max_recompute : ?span:span -> string -> t

@@ -105,8 +105,11 @@ let tokenize (src : string) : positioned list =
       end else frac_end
     in
     let text = String.sub src start (exp_end - start) in
-    if exp_end = frac_end && frac_end = int_end then
-      emit (Int_lit (int_of_string text)) start exp_end
+    if exp_end = frac_end && frac_end = int_end then begin
+      match int_of_string_opt text with
+      | Some v -> emit (Int_lit v) start exp_end
+      | None -> raise (Error ("integer literal out of range", start))
+    end
     else
       emit (Float_lit (float_of_string text)) start exp_end;
     scan exp_end

@@ -13,9 +13,6 @@ module Flags = Openivm.Flags
 module Runner = Openivm.Runner
 open Openivm_engine
 
-(* exercise real cross-domain execution even on single-core CI hosts *)
-let () = Openivm.Parallel.oversubscribe := true
-
 let failures = ref 0
 let checks = ref 0
 
@@ -66,12 +63,11 @@ let stack_sqls =
 
 (* level 1 eager, levels 2–3 lazy: the eager push-down and the lazy
    topological pull both stay under load in the same run *)
-let install_stack ~strategy ~consolidate ~domains db =
+let install_stack ~strategy ~consolidate db =
   let flags_at level =
     { Flags.default with
       Flags.strategy;
       consolidate_deltas = consolidate;
-      domains;
       refresh = (if level = 0 then Flags.Eager else Flags.Lazy) }
   in
   let rec go level registry = function
@@ -85,7 +81,7 @@ let install_stack ~strategy ~consolidate ~domains db =
   in
   go 0 [] stack_sqls
 
-let run_soak ~strategy ~consolidate ?(domains = 1) ~seed ~batches () =
+let run_soak ~strategy ~consolidate ~seed ~batches =
   rng_state := seed;
   let db =
     let db = Database.create () in
@@ -96,7 +92,7 @@ let run_soak ~strategy ~consolidate ?(domains = 1) ~seed ~batches () =
          "INSERT INTO sales VALUES ('north', 10), ('south', 7), ('west', 3)");
     db
   in
-  let stack = install_stack ~strategy ~consolidate ~domains db in
+  let stack = install_stack ~strategy ~consolidate db in
   let top = List.nth stack (List.length stack - 1) in
   for batch = 1 to batches do
     for _ = 1 to 2 + rand 4 do
@@ -123,26 +119,15 @@ let () =
     (fun strategy ->
        Printf.printf "cascade soak: %s\n%!" (Flags.strategy_to_string strategy);
        let with_consol =
-         run_soak ~strategy ~consolidate:true ~seed:2024 ~batches:25 ()
+         run_soak ~strategy ~consolidate:true ~seed:2024 ~batches:25
        in
        let without =
-         run_soak ~strategy ~consolidate:false ~seed:2024 ~batches:25 ()
+         run_soak ~strategy ~consolidate:false ~seed:2024 ~batches:25
        in
        check
          (Flags.strategy_to_string strategy
           ^ ": consolidation on/off yields identical stacks")
-         (with_consol = without);
-       (* replay the same seed with domain-parallel propagation: sharded
-          fills and concurrent same-level refreshes must reproduce the
-          sequential stack bit for bit *)
-       let parallel =
-         run_soak ~strategy ~consolidate:true ~domains:3 ~seed:2024
-           ~batches:25 ()
-       in
-       check
-         (Flags.strategy_to_string strategy
-          ^ ": domains=3 yields the identical stack")
-         (with_consol = parallel))
+         (with_consol = without))
     strategies;
   if !failures = 0 then
     Printf.printf "cascade soak: %d checks, all green\n" !checks

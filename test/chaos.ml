@@ -10,9 +10,6 @@
 open Openivm_engine
 open Openivm_htap
 
-(* exercise real cross-domain execution even on single-core CI hosts *)
-let () = Openivm.Parallel.oversubscribe := true
-
 let failures = ref 0
 
 let check name ok =
@@ -69,14 +66,12 @@ let replicas_match p =
        rows (Oltp.db (Pipeline.oltp p)) = rows (Pipeline.olap p))
     p.Pipeline.base_tables
 
-let run_groups ~name ?(domains = 1) ~spec ~tx_count
-    (checks : Pipeline.t -> unit) =
+let run_groups ~name ~spec ~tx_count (checks : Pipeline.t -> unit) =
   Printf.printf "chaos soak [%s]: %d transactions...\n%!" name tx_count;
   let faults = Fault.create ~seed:0xBADF00D spec in
   let bridge = Bridge.create ~batch_latency:0.0 ~per_row_cost:0.0 ~faults () in
   let p =
-    Pipeline.create ~flags:{ Openivm.Flags.default with domains }
-      ~oltp_latency:0.0 ~bridge ~backoff_base:1e-6
+    Pipeline.create ~oltp_latency:0.0 ~bridge ~backoff_base:1e-6
       ~schema_sql:groups_schema ~view_sql:groups_view ()
   in
   let tx = Txgen.create ~seed:31337 ~group_domain:12 () in
@@ -92,13 +87,12 @@ let run_groups ~name ?(domains = 1) ~spec ~tx_count
 (* Join view: replicas are live on the OLAP side, so faults also attack
    replica maintenance. Inline workload — Txgen speaks only the groups
    schema. *)
-let run_join ~name ?(domains = 1) ~spec ~tx_count () =
+let run_join ~name ~spec ~tx_count =
   Printf.printf "chaos soak [%s]: %d transactions...\n%!" name tx_count;
   let faults = Fault.create ~seed:0xD15EA5E spec in
   let bridge = Bridge.create ~batch_latency:0.0 ~per_row_cost:0.0 ~faults () in
   let p =
-    Pipeline.create ~flags:{ Openivm.Flags.default with domains }
-      ~oltp_latency:0.0 ~bridge ~backoff_base:1e-6
+    Pipeline.create ~oltp_latency:0.0 ~bridge ~backoff_base:1e-6
       ~schema_sql:join_schema ~view_sql:join_view ()
   in
   let rng = Random.State.make [| 1729 |] in
@@ -167,18 +161,7 @@ let () =
        check "all: retries > 0" (s.Pipeline.retries > 0);
        check "all: deduplicated batches > 0" (s.Pipeline.deduped > 0);
        check "all: crashes rolled back > 0" (s.Pipeline.crashes > 0));
-  run_join ~name:"join view, all faults 12%" ~tx_count:600 ~spec:everything ();
-
-  (* the same gauntlet with domain-parallel propagation: faults plus
-     sharded refresh must still converge to the recompute *)
-  run_groups ~name:"all faults 12%, domains=2" ~domains:2 ~tx_count:600
-    ~spec:everything
-    (fun p ->
-       let s = Pipeline.stats p in
-       check "parallel: retries > 0" (s.Pipeline.retries > 0);
-       check "parallel: crashes rolled back > 0" (s.Pipeline.crashes > 0));
-  run_join ~name:"join view, all faults 12%, domains=2" ~domains:2
-    ~tx_count:600 ~spec:everything ();
+  run_join ~name:"join view, all faults 12%" ~tx_count:600 ~spec:everything;
 
   if !failures = 0 then print_endline "chaos soak: all checks passed"
   else begin

@@ -40,18 +40,6 @@ let () =
   in
   let report = Openivm_fuzz.Campaign.run config in
   print_endline (Openivm_fuzz.Campaign.summary report);
-  (* the domain-parallel axis: a smaller campaign where every case is
-     checked at domains = 2 as well — parallel propagation must equal
-     full recompute on exactly the cases the sequential oracle accepts *)
-  let parallel_config =
-    { Openivm_fuzz.Campaign.default with
-      base_seed = 4100; cases = max 10 (cases / 4); max_steps = 16;
-      queries = 0; domains = [ 2 ];
-      log = (fun s -> Printf.printf "%s\n%!" s) }
-  in
-  let parallel_report = Openivm_fuzz.Campaign.run parallel_config in
-  print_endline
-    ("domains=2 axis " ^ Openivm_fuzz.Campaign.summary parallel_report);
   (* a short crash-replay pass: cases re-run through the durable store
      under seeded storage faults (kill + reopen at every injected death)
      must converge to their no-crash run — kept small, every case pays
@@ -66,6 +54,5 @@ let () =
   print_endline ("crash axis " ^ Openivm_fuzz.Campaign.summary crash_report);
   if corpus_failures <> []
      || report.Openivm_fuzz.Campaign.failures <> []
-     || parallel_report.Openivm_fuzz.Campaign.failures <> []
      || crash_report.Openivm_fuzz.Campaign.failures <> []
   then exit 1

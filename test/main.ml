@@ -35,5 +35,4 @@ let () =
       ("obs", Test_obs.suite);
       ("store", Test_store.suite);
       ("server", Test_server.suite);
-      ("parallel", Test_parallel.suite);
     ]

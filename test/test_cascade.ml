@@ -196,16 +196,25 @@ let test_dml_interception () =
   expect_ivm203 "UPDATE region_totals SET total = 0";
   expect_ivm203 "DELETE FROM by_size";
   expect_ivm203 "TRUNCATE TABLE region_totals";
-  (* DROP of a view with dependents refuses; in DAG order it works *)
-  (match Runner.exec_ext ext "DROP TABLE region_totals" with
-   | exception Error.Sql_error msg ->
-     Alcotest.(check bool) "IVM202 via the extension" true
-       (String.length msg >= 6 && String.sub msg 0 6 = "IVM202")
-   | _ -> Alcotest.fail "drop with dependents was not rejected");
+  (* DROP of a view with dependents, or of a base table a view reads,
+     refuses; in DAG order it works *)
+  let expect_ivm202 sql =
+    match Runner.exec_ext ext sql with
+    | exception Error.Sql_error msg ->
+      Alcotest.(check bool) ("IVM202 for " ^ sql) true
+        (String.length msg >= 6 && String.sub msg 0 6 = "IVM202")
+    | _ -> Alcotest.fail ("drop with dependents was not rejected: " ^ sql)
+  in
+  expect_ivm202 "DROP TABLE region_totals";
+  expect_ivm202 "DROP TABLE sales";
   ignore (Runner.exec_ext ext "DROP TABLE by_size");
+  expect_ivm202 "DROP TABLE sales";
   ignore (Runner.exec_ext ext "DROP TABLE region_totals");
   Alcotest.(check int) "extension registry drained" 0
-    (List.length ext.Runner.ext_views)
+    (List.length ext.Runner.ext_views);
+  ignore (Runner.exec_ext ext "DROP TABLE sales");
+  Alcotest.(check bool) "base table dropped once no view reads it" true
+    (Catalog.find_table_opt (Database.catalog db) "sales" = None)
 
 (* --- the consolidation pass --- *)
 

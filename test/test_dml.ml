@@ -98,10 +98,27 @@ let suite =
         let fired = ref 0 in
         Trigger.register (Database.triggers db) ~table:"t" ~name:"test"
           (fun _ -> incr fired);
-        Trigger.without_hooks (Database.triggers db) (fun () ->
+        let triggers = Database.triggers db in
+        Trigger.without_hooks triggers (fun () ->
             Util.exec db "INSERT INTO t VALUES (1)");
         Util.exec db "INSERT INTO t VALUES (2)";
-        Alcotest.(check int) "fired once" 1 !fired);
+        Alcotest.(check int) "fired once" 1 !fired;
+        (* nested calls stack: the inner return must not re-enable
+           dispatch while the outer call is still running *)
+        Trigger.without_hooks triggers (fun () ->
+            Trigger.without_hooks triggers (fun () ->
+                Util.exec db "INSERT INTO t VALUES (3)");
+            Util.exec db "INSERT INTO t VALUES (4)");
+        (match
+           Trigger.without_hooks triggers (fun () ->
+               Util.exec db "INSERT INTO t VALUES (5)";
+               failwith "body raised")
+         with
+         | exception Failure _ -> ()
+         | () -> Alcotest.fail "expected the body's exception");
+        Alcotest.(check int) "suppressed while nested or raising" 1 !fired;
+        Util.exec db "INSERT INTO t VALUES (6)";
+        Alcotest.(check int) "fires again after both unwind" 2 !fired);
     Util.tc "secondary index stays consistent through dml" (fun () ->
         let db = Util.db_with [ "CREATE TABLE t(a INTEGER, b VARCHAR)" ] in
         Util.exec db "CREATE INDEX idx_b ON t(b)";

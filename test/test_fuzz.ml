@@ -49,11 +49,13 @@ let test_of_string_rejects () =
   bad "-- openivm-fuzz reproducer v1\n-- schema:\n";
   bad "SELECT 1\n";
   bad "-- schema:\nCREATE TABLE t(a INTEGER)\n-- seed: x\n-- queries:\nSELECT a FROM t\n";
-  (* a multi-statement view section is a cascade stack, not an error *)
+  (* a multi-statement view section is a cascade stack, not an error;
+     the retired [-- domains:] header of older reproducers is a comment *)
   match
     F.Case.of_string
-      "-- schema:\nCREATE TABLE t(a INTEGER)\n-- view:\nCREATE MATERIALIZED \
-       VIEW v AS SELECT a FROM t\nCREATE MATERIALIZED VIEW w AS SELECT a FROM v\n"
+      "-- domains: 2\n-- schema:\nCREATE TABLE t(a INTEGER)\n-- view:\nCREATE \
+       MATERIALIZED VIEW v AS SELECT a FROM t\nCREATE MATERIALIZED VIEW w AS \
+       SELECT a FROM v\n"
   with
   | Error e -> Alcotest.failf "cascade view section rejected: %s" e
   | Ok c ->

@@ -51,4 +51,6 @@ let suite =
     Util.tc "unterminated block comment fails" (check_fails "/* abc");
     Util.tc "unterminated quoted ident fails" (check_fails "\"abc");
     Util.tc "stray character fails" (check_fails "a $ b");
+    Util.tc "integer literal above max_int fails"
+      (check_fails "SELECT 9223372036854775807 + 1");
   ]

@@ -54,25 +54,6 @@ let suite_unit =
         ignore (Zset.plus b a);
         Alcotest.(check bool) "a unchanged" true (Zset.equal a a0);
         Alcotest.(check bool) "b unchanged" true (Zset.equal b b0));
-    Util.tc "partition rejects zero parts" (fun () ->
-        match Zset.partition ~parts:0 (zset_of [ (1, 1) ]) with
-        | exception Invalid_argument _ -> ()
-        | _ -> Alcotest.fail "expected Invalid_argument");
-    Util.tc "partition colocates equal keys" (fun () ->
-        let z = Zset.of_list
-            [ ([| Value.Int 3; Value.Int 10 |], 2);
-              ([| Value.Int 3; Value.Int 11 |], 1);
-              ([| Value.Int 8; Value.Int 12 |], 1) ]
-        in
-        let keyed = Zset.partition ~key:(fun r -> [| r.(0) |]) ~parts:4 z in
-        Array.iter
-          (fun shard ->
-             (* every shard holds either all of key 3's rows or none *)
-             let w10 = Zset.weight shard [| Value.Int 3; Value.Int 10 |] in
-             let w11 = Zset.weight shard [| Value.Int 3; Value.Int 11 |] in
-             Alcotest.(check bool) "key 3 colocated" true
-               ((w10 = 2 && w11 = 1) || (w10 = 0 && w11 = 0)))
-          keyed);
   ]
 
 let qcheck =
@@ -116,17 +97,6 @@ let qcheck =
          let acc = Zset.copy a in
          Zset.accumulate ~into:acc b;
          Zset.equal acc (Zset.plus a b));
-    Test.make ~count:300 ~name:"merge inverts partition"
-      (pair arb_zset (int_range 1 7))
-      (fun (a, parts) -> Zset.equal a (Zset.merge (Zset.partition ~parts a)));
-    Test.make ~count:300 ~name:"partition shards are disjoint"
-      (pair arb_zset (int_range 1 7))
-      (fun (a, parts) ->
-         let shards = Zset.partition ~parts a in
-         let total =
-           Array.fold_left (fun acc s -> acc + Zset.cardinality s) 0 shards
-         in
-         total = Zset.cardinality a);
   ]
 
 let suite = suite_unit @ List.map (QCheck_alcotest.to_alcotest ~long:false) qcheck
