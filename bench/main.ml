@@ -23,6 +23,16 @@
 open Openivm_engine
 open Openivm_workload
 
+let pp_duration = Openivm_obs.Report.pp_duration
+
+(** Wall time of [f ()], read through [Openivm_obs.Clock] like every span;
+    [~best_of:n] keeps the fastest of [n] runs to cut scheduler noise. *)
+let rec time_unit ?(best_of = 1) f =
+  let t0 = Openivm_obs.Clock.now () in
+  f ();
+  let dt = Openivm_obs.Clock.now () -. t0 in
+  if best_of <= 1 then dt else Float.min dt (time_unit ~best_of:(best_of - 1) f)
+
 let scale = ref `Medium
 let run_micro = ref false
 
@@ -54,7 +64,7 @@ let apply_and_refresh db v gen ~delta_rows ~domain =
   for _ = 1 to 3 do
     let delta = Datagen.groups_delta_rows ~domain gen ~rows:delta_rows in
     Datagen.apply_groups_delta db delta;
-    let dt = Timer.time_unit (fun () -> Openivm.Runner.force_refresh v) in
+    let dt = time_unit (fun () -> Openivm.Runner.force_refresh v) in
     if dt < !best then best := dt
   done;
   !best
@@ -92,7 +102,7 @@ let e1 () =
               in
               Report.add_row report
                 [ string_of_int base; string_of_int delta;
-                  Timer.pp_duration t_ivm; Timer.pp_duration t_full;
+                  pp_duration t_ivm; pp_duration t_full;
                   Report.speedup t_full t_ivm ]
             end)
          deltas)
@@ -139,7 +149,7 @@ let e1b () =
                 List.iter (fun sql -> ignore (Database.exec db sql))
                   (Tpch_lite.cancel_statements gen);
                 let dt =
-                  Timer.time_unit (fun () -> Openivm.Runner.force_refresh v)
+                  time_unit (fun () -> Openivm.Runner.force_refresh v)
                 in
                 if dt < !best then best := dt
               done;
@@ -149,7 +159,7 @@ let e1b () =
             let t_full = run (setup Openivm.Flags.Full_recompute) in
             Report.add_row report
               [ string_of_int orders; string_of_int delta;
-                Timer.pp_duration t_ivm; Timer.pp_duration t_full;
+                pp_duration t_ivm; pp_duration t_full;
                 Report.speedup t_full t_ivm ])
          deltas)
     orders_list;
@@ -173,14 +183,16 @@ let e2 () =
          Array.init n (fun i -> (Value.encode_key [| Value.Int i |], i))
        in
        let t_insert =
-         Timer.best_of (fun () ->
+         time_unit ~best_of:3 (fun () ->
              let t = Art.create () in
              Array.iter (fun (k, v) -> Art.insert t k v) bindings)
        in
-       let t_bulk = Timer.best_of (fun () -> ignore (Art.of_sorted bindings)) in
+       let t_bulk =
+         time_unit ~best_of:3 (fun () -> ignore (Art.of_sorted bindings))
+       in
        let chunks = 16 in
        let t_chunked =
-         Timer.best_of (fun () ->
+         time_unit ~best_of:3 (fun () ->
              let size = (n + chunks - 1) / chunks in
              let parts =
                List.init chunks (fun c ->
@@ -197,8 +209,8 @@ let e2 () =
                  rest)
        in
        Report.add_row report
-         [ string_of_int n; Timer.pp_duration t_insert;
-           Timer.pp_duration t_bulk; Timer.pp_duration t_chunked ])
+         [ string_of_int n; pp_duration t_insert;
+           pp_duration t_bulk; pp_duration t_chunked ])
     ns;
   Report.print report;
   (* E2b: upserting into a materialized aggregate with / without the ART
@@ -224,7 +236,7 @@ let e2 () =
   in
   let db = mk_db () in
   let t_upsert =
-    Timer.time_unit (fun () ->
+    time_unit (fun () ->
         for i = 0 to batch - 1 do
           ignore
             (Database.exec db
@@ -233,8 +245,8 @@ let e2 () =
         done)
   in
   Report.add_row report2
-    [ "ART-indexed upsert"; Timer.pp_duration t_upsert;
-      Timer.pp_duration (t_upsert /. float_of_int batch) ];
+    [ "ART-indexed upsert"; pp_duration t_upsert;
+      pp_duration (t_upsert /. float_of_int batch) ];
   let db2 = Database.create () in
   ignore (Database.exec db2 "CREATE TABLE v(k INTEGER, s INTEGER)");
   let tbl2 = Catalog.find_table (Database.catalog db2) "v" in
@@ -243,7 +255,7 @@ let e2 () =
         Table.insert tbl2 [| Value.Int i; Value.Int (i * 3) |]
       done);
   let t_scan =
-    Timer.time_unit (fun () ->
+    time_unit (fun () ->
         for i = 0 to batch - 1 do
           let key = i * 97 mod base in
           ignore
@@ -255,8 +267,8 @@ let e2 () =
         done)
   in
   Report.add_row report2
-    [ "unindexed delete+insert"; Timer.pp_duration t_scan;
-      Timer.pp_duration (t_scan /. float_of_int batch) ];
+    [ "unindexed delete+insert"; pp_duration t_scan;
+      pp_duration (t_scan /. float_of_int batch) ];
   Report.print report2
 
 (* --- E3: the demo's 4-way cross-system comparison --- *)
@@ -297,9 +309,9 @@ let e3 () =
     let t_tx = ref 0.0 and t_q = ref 0.0 in
     for _ = 1 to rounds do
       let batch = Openivm_htap.Txgen.batch tx batch_rows in
-      t_tx := !t_tx +. Timer.time_unit (fun () ->
+      t_tx := !t_tx +. time_unit (fun () ->
           List.iter (fun sql -> ignore (Database.exec db sql)) batch);
-      t_q := !t_q +. Timer.time_unit (fun () ->
+      t_q := !t_q +. time_unit (fun () ->
           ignore (Openivm.Runner.query v "SELECT * FROM query_groups"))
     done;
     (!t_tx /. float_of_int rounds, !t_q /. float_of_int rounds)
@@ -314,9 +326,9 @@ let e3 () =
     let t_tx = ref 0.0 and t_q = ref 0.0 in
     for _ = 1 to rounds do
       let batch = Openivm_htap.Txgen.batch tx batch_rows in
-      t_tx := !t_tx +. Timer.time_unit (fun () ->
+      t_tx := !t_tx +. time_unit (fun () ->
           List.iter (fun sql -> ignore (Openivm_htap.Oltp.exec oltp sql)) batch);
-      t_q := !t_q +. Timer.time_unit (fun () ->
+      t_q := !t_q +. time_unit (fun () ->
           ignore (Openivm_htap.Oltp.query oltp analytical))
     done;
     (!t_tx /. float_of_int rounds, !t_q /. float_of_int rounds)
@@ -336,9 +348,9 @@ let e3 () =
     let t_tx = ref 0.0 and t_q = ref 0.0 in
     for _ = 1 to rounds do
       let batch = Openivm_htap.Txgen.batch tx batch_rows in
-      t_tx := !t_tx +. Timer.time_unit (fun () ->
+      t_tx := !t_tx +. time_unit (fun () ->
           List.iter (fun sql -> ignore (Openivm_htap.Pipeline.exec_oltp p sql)) batch);
-      t_q := !t_q +. Timer.time_unit (fun () ->
+      t_q := !t_q +. time_unit (fun () ->
           if with_ivm then
             ignore (Openivm_htap.Pipeline.query p "SELECT * FROM query_groups")
           else ignore (Openivm_htap.Pipeline.query_without_ivm p))
@@ -347,8 +359,8 @@ let e3 () =
   in
   let add name (t_tx, t_q) =
     Report.add_row report
-      [ name; Timer.pp_duration t_tx; Timer.pp_duration t_q;
-        Timer.pp_duration (t_tx +. t_q) ]
+      [ name; pp_duration t_tx; pp_duration t_q;
+        pp_duration (t_tx +. t_q) ]
   in
   add "pure OLAP engine + IVM" (bench_pure_olap ());
   add "pure OLTP engine, recompute" (bench_pure_oltp ());
@@ -400,11 +412,11 @@ let e4 () =
        in
        Report.add_row report
          [ string_of_int delta;
-           Timer.pp_duration (time Openivm.Flags.Upsert_linear);
-           Timer.pp_duration (time Openivm.Flags.Union_regroup);
-           Timer.pp_duration (time Openivm.Flags.Outer_join_merge);
-           Timer.pp_duration (time Openivm.Flags.Rederive_affected);
-           Timer.pp_duration (time Openivm.Flags.Full_recompute);
+           pp_duration (time Openivm.Flags.Upsert_linear);
+           pp_duration (time Openivm.Flags.Union_regroup);
+           pp_duration (time Openivm.Flags.Outer_join_merge);
+           pp_duration (time Openivm.Flags.Rederive_affected);
+           pp_duration (time Openivm.Flags.Full_recompute);
            Openivm.Flags.strategy_to_string advised ])
     deltas;
   Report.print report;
@@ -426,7 +438,7 @@ let e4 () =
     let flags = { Openivm.Flags.default with refresh } in
     let v = Openivm.Runner.install ~flags db groups_view_sql in
     let t =
-      Timer.time_unit (fun () ->
+      time_unit (fun () ->
           for i = 0 to n_stmts - 1 do
             ignore
               (Database.exec db
@@ -441,11 +453,11 @@ let e4 () =
   let t_eager = run_mode Openivm.Flags.Eager in
   let t_lazy = run_mode Openivm.Flags.Lazy in
   Report.add_row report2
-    [ "eager (refresh per statement)"; Timer.pp_duration t_eager;
-      Timer.pp_duration (t_eager /. float_of_int n_stmts) ];
+    [ "eager (refresh per statement)"; pp_duration t_eager;
+      pp_duration (t_eager /. float_of_int n_stmts) ];
   Report.add_row report2
-    [ "lazy (one refresh at read)"; Timer.pp_duration t_lazy;
-      Timer.pp_duration (t_lazy /. float_of_int n_stmts) ];
+    [ "lazy (one refresh at read)"; pp_duration t_lazy;
+      pp_duration (t_lazy /. float_of_int n_stmts) ];
   Report.print report2
 
 (* --- E4c: batching granularity vs staleness --- *)
@@ -471,7 +483,7 @@ let e4c () =
        let staleness_samples = ref 0 in
        let staleness_total = ref 0 in
        let t =
-         Timer.time_unit (fun () ->
+         time_unit (fun () ->
              for i = 0 to total_stmts - 1 do
                ignore
                  (Database.exec db
@@ -484,8 +496,8 @@ let e4c () =
              Openivm.Runner.refresh v)
        in
        Report.add_row report
-         [ string_of_int every; Timer.pp_duration t;
-           Timer.pp_duration (t /. float_of_int total_stmts);
+         [ string_of_int every; pp_duration t;
+           pp_duration (t /. float_of_int total_stmts);
            Printf.sprintf "%.1f"
              (float_of_int !staleness_total /. float_of_int !staleness_samples) ])
     [ 1; 10; 100; 1000 ];
@@ -521,7 +533,7 @@ let e5 () =
     (fun (name, sql) ->
        let reps = 200 in
        let t =
-         Timer.time_unit (fun () ->
+         time_unit (fun () ->
              for _ = 1 to reps do
                ignore (Openivm.Compiler.compile catalog sql)
              done)
@@ -534,7 +546,7 @@ let e5 () =
          + List.length (Openivm.Propagate.all_statements c.Openivm.Compiler.script)
        in
        Report.add_row report
-         [ name; Timer.pp_duration (t /. float_of_int reps);
+         [ name; pp_duration (t /. float_of_int reps);
            string_of_int stmt_count ])
     e5_views;
   Report.print report
@@ -793,7 +805,7 @@ let recovery_results () : refresh_result list =
       done;
       Store.close store;
       let time_open () =
-        Timer.time_unit (fun () ->
+        time_unit (fun () ->
             let s = Store.open_ ~dir () in
             List.iter Openivm.Runner.refresh (Store.views s);
             Store.close s)
@@ -816,7 +828,7 @@ let recovery_results () : refresh_result list =
       let cold_converged = ref true in
       let cold_times =
         List.init reps (fun _ ->
-            Timer.time_unit (fun () ->
+            time_unit (fun () ->
                 let db = Database.create () in
                 ignore (Database.exec db Datagen.groups_ddl);
                 ignore (Database.exec db (values 0 total));
@@ -886,7 +898,7 @@ let multi_session_results () : refresh_result list =
     let ok = ref true in
     let per = total_units / n_sessions in
     let t =
-      Timer.time_unit (fun () ->
+      time_unit (fun () ->
           let threads =
             List.init n_sessions (fun s ->
                 Thread.create
@@ -1001,7 +1013,7 @@ let refresh_bench () =
                      let times =
                        List.init reps (fun _ ->
                            sh.shape_delta db gen;
-                           Timer.time_unit (fun () ->
+                           time_unit (fun () ->
                                Openivm.Runner.force_refresh v))
                      in
                      let converged =
@@ -1030,7 +1042,7 @@ let refresh_bench () =
                          r_max = List.fold_left max neg_infinity times;
                          r_converged = converged }
                        :: !results;
-                     Timer.pp_duration (median times))
+                     pp_duration (median times))
                 refresh_strategies
             in
             Report.add_row table (sh.shape_name :: cells))
@@ -1043,7 +1055,7 @@ let refresh_bench () =
   List.iter
     (fun r ->
        Printf.printf "recovery/%-16s %s\n" r.r_strategy
-         (Timer.pp_duration r.r_median);
+         (pp_duration r.r_median);
        if not r.r_converged then
          diverged := (r.r_shape, r.r_strategy, r.r_engine) :: !diverged)
     recovery;
@@ -1053,7 +1065,7 @@ let refresh_bench () =
   List.iter
     (fun r ->
        Printf.printf "multi_session/%-12s %s\n" r.r_strategy
-         (Timer.pp_duration r.r_median);
+         (pp_duration r.r_median);
        if not r.r_converged then
          diverged := (r.r_shape, r.r_strategy, r.r_engine) :: !diverged)
     multi;
@@ -1152,7 +1164,7 @@ let micro () =
     (fun name est ->
        let t =
          match Analyze.OLS.estimates est with
-         | Some (t :: _) -> Timer.pp_duration (t *. 1e-9)
+         | Some (t :: _) -> pp_duration (t *. 1e-9)
          | _ -> "n/a"
        in
        rows := (name, t) :: !rows)

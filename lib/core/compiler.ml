@@ -10,8 +10,7 @@
     Compilation runs the view query through the engine's parser → planner
     → optimizer (the role DuckDB plays in the paper) and applies the
     DBSP-style rewrite as templates over the analyzed shape; the logical
-    plan itself is recorded in the metadata, and the equivalent executable
-    DBSP circuit is available via [circuit] for cross-checking. *)
+    plan itself is recorded in the metadata. *)
 
 module Ast = Openivm_sql.Ast
 module Dialect = Openivm_sql.Dialect
@@ -151,7 +150,3 @@ let compile ?flags (catalog : Catalog.t) (sql : string) : t =
   | Ast.Create_view { materialized = false; _ } ->
     unsupported (Openivm_sql.Diagnostic.not_materialized ())
   | _ -> unsupported (Openivm_sql.Diagnostic.not_a_view ())
-
-(** The equivalent executable DBSP circuit (test oracle / research hook). *)
-let circuit (catalog : Catalog.t) t : Openivm_dbsp.Circuit.t =
-  Openivm_dbsp.Circuit.of_select catalog t.shape.Shape.query

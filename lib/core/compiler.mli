@@ -63,6 +63,3 @@ val setup_sql : t -> string
 
 val full_sql : t -> string
 (** Complete annotated compiler output (setup, propagation, triggers). *)
-
-val circuit : Catalog.t -> t -> Openivm_dbsp.Circuit.t
-(** The equivalent executable DBSP circuit (test oracle / research hook). *)

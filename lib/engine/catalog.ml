@@ -89,18 +89,10 @@ let view_names t =
 (* --- the materialized-view dependency DAG (cascading IVM) --- *)
 
 let find_mat_view t name = Hashtbl.find_opt t.mat_views name
-let is_mat_view t name = Hashtbl.mem t.mat_views name
 
 let mat_view_names t =
   Hashtbl.fold (fun name _ acc -> name :: acc) t.mat_views []
   |> List.sort String.compare
-
-(** Direct upstream materialized views of [name] (its dependencies that
-    are themselves maintained views; base tables are filtered out). *)
-let mat_upstreams t name =
-  match find_mat_view t name with
-  | None -> []
-  | Some mv -> List.filter (is_mat_view t) mv.mat_depends_on
 
 (** Maintained views that read [name] directly (as a base table or as an
     upstream view). Sorted for determinism. *)
@@ -141,19 +133,3 @@ let register_mat_view t (mv : mat_view) =
   Hashtbl.replace t.mat_views mv.mat_name mv
 
 let unregister_mat_view t name = Hashtbl.remove t.mat_views name
-
-(** All registered maintained views in topological order (upstreams
-    first). The registry is kept acyclic by {!register_mat_view}, so this
-    always succeeds; ties break on name for determinism. *)
-let mat_topo_order t : string list =
-  let visited = Hashtbl.create 16 in
-  let out = ref [] in
-  let rec visit name =
-    if not (Hashtbl.mem visited name) then begin
-      Hashtbl.replace visited name ();
-      List.iter visit (mat_upstreams t name);
-      out := name :: !out
-    end
-  in
-  List.iter visit (mat_view_names t);
-  List.rev !out

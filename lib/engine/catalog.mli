@@ -49,13 +49,9 @@ type mat_view = {
 }
 
 val find_mat_view : t -> string -> mat_view option
-val is_mat_view : t -> string -> bool
 
 val mat_view_names : t -> string list
 (** Sorted. *)
-
-val mat_upstreams : t -> string -> string list
-(** Direct dependencies of a view that are themselves maintained views. *)
 
 val mat_dependents : t -> string -> string list
 (** Maintained views reading [name] directly. Sorted. *)
@@ -69,6 +65,3 @@ val register_mat_view : t -> mat_view -> unit
     dependency cycle. *)
 
 val unregister_mat_view : t -> string -> unit
-
-val mat_topo_order : t -> string list
-(** Every registered maintained view, upstreams before dependents. *)

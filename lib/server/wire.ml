@@ -51,6 +51,23 @@ let unescape s =
   done;
   Buffer.contents buf
 
+(* Column names are comma-joined, so a comma inside a name is escaped
+   as well; [unescape] already turns [\\,] back into [,]. *)
+let escape_col name =
+  String.concat "\\," (String.split_on_char ',' (escape name))
+
+(* Split on the commas [escape_col] left unescaped. *)
+let split_cols s =
+  let n = String.length s in
+  let rec go start i acc =
+    if i >= n then List.rev (String.sub s start (n - start) :: acc)
+    else if s.[i] = '\\' then go start (i + 2) acc
+    else if s.[i] = ',' then
+      go (i + 1) (i + 1) (String.sub s start (i - start) :: acc)
+    else go start (i + 1) acc
+  in
+  List.map unescape (go 0 0 [])
+
 let split_verb line =
   match String.index_opt line ' ' with
   | None -> (line, "")
@@ -87,8 +104,11 @@ let render_response = function
   | Queued n -> [ Printf.sprintf "QUEUED %d" n ]
   | Msg text -> [ "MSG " ^ escape text ]
   | Rows { cols; rows } ->
-      (Printf.sprintf "ROWS %d %s" (List.length rows)
-         (String.concat "," (List.map escape cols)))
+      (* No columns: no separator either, so [[]] and [[""]] differ. *)
+      let header = Printf.sprintf "ROWS %d" (List.length rows) in
+      (match cols with
+       | [] -> header
+       | _ -> header ^ " " ^ String.concat "," (List.map escape_col cols))
       :: List.map (fun r -> "ROW " ^ escape r) rows
       @ [ "END" ]
   | Err { code; message } -> [ Printf.sprintf "ERR %s %s" code (escape message) ]
@@ -100,7 +120,8 @@ let parse_response ~next_line =
   match next_line () with
   | None -> Error "connection closed"
   | Some line -> (
-      let verb, rest = split_verb (String.trim line) in
+      (* No trimming: trailing blanks of a payload are data. *)
+      let verb, rest = split_verb line in
       match (verb, rest) with
       | "SESSION", n -> (
           match int_of_string_opt n with
@@ -125,13 +146,10 @@ let parse_response ~next_line =
           | _ -> Ok (Err { code; message = unescape message }))
       | "ROWS", rest -> (
           let count, cols = split_verb rest in
+          let cols = if String.contains rest ' ' then split_cols cols else [] in
           match int_of_string_opt count with
           | None -> Error "bad ROWS count"
           | Some count ->
-              let cols =
-                if cols = "" then []
-                else List.map unescape (String.split_on_char ',' cols)
-              in
               let rec read_rows k acc =
                 if k = 0 then
                   match next_line () with

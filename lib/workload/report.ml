@@ -11,10 +11,6 @@ let create ~title ~headers = { title; headers; rows = [] }
 
 let add_row t cells = t.rows <- cells :: t.rows
 
-let cell_f f = Printf.sprintf "%.3f" f
-let cell_duration = Timer.pp_duration
-let cell_int = string_of_int
-
 let speedup baseline measured =
   if measured <= 0.0 then "inf"
   else Printf.sprintf "%.1fx" (baseline /. measured)

@@ -4,9 +4,6 @@ type t
 
 val create : title:string -> headers:string list -> t
 val add_row : t -> string list -> unit
-val cell_f : float -> string
-val cell_duration : float -> string
-val cell_int : int -> string
 val speedup : float -> float -> string
 (** [speedup baseline measured] — "3.4x". *)
 

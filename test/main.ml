@@ -14,9 +14,6 @@ let () =
       ("random-queries", Test_random_queries.suite);
       ("optimizer", Test_optimizer.suite);
       ("dml", Test_dml.suite);
-      ("zset", Test_zset.suite);
-      ("dbsp", Test_dbsp.suite);
-      ("circuit", Test_circuit.suite);
       ("diagnostics", Test_diagnostics.suite);
       ("shape", Test_shape.suite);
       ("compiler", Test_compiler.suite);

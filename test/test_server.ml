@@ -267,7 +267,12 @@ let test_wire_roundtrip () =
     [ Wire.Session 7; Wire.Ok_affected 3; Wire.Queued 2; Wire.Msg "COMMIT";
       Wire.Rows { cols = [ "k"; "total" ]; rows = [ "(a, 5)"; "(b,\n7)" ] };
       Wire.Rows { cols = []; rows = [] };
+      Wire.Rows { cols = [ "x,y"; "b" ]; rows = [ "(1, 2)" ] };
+      Wire.Rows { cols = [ "b " ]; rows = [ "(1)" ] };
+      Wire.Rows { cols = [ "" ]; rows = [ "(1)" ] };
+      Wire.Msg "done ";
       Wire.Err { code = "SQL"; message = "boom\nwith newline" };
+      Wire.Err { code = "SQL"; message = "bad " };
       Wire.Overloaded "queue full"; Wire.Pong; Wire.Bye ]
   in
   List.iter
