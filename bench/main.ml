@@ -718,7 +718,6 @@ let refresh_strategies =
 type refresh_result = {
   r_shape : string;
   r_strategy : string;
-  r_engine : string;    (* which executor ran the cell: vector or row *)
   r_median : float;
   r_min : float;
   r_max : float;
@@ -740,10 +739,10 @@ let refresh_json results =
   List.iteri
     (fun i r ->
        Printf.bprintf b
-         "    {\"shape\": %S, \"strategy\": %S, \"exec_engine\": %S, \
-          \"median_seconds\": %.9f, \"min_seconds\": %.9f, \"max_seconds\": \
-          %.9f, \"converged\": %b}%s\n"
-         r.r_shape r.r_strategy r.r_engine r.r_median r.r_min r.r_max
+         "    {\"shape\": %S, \"strategy\": %S, \"median_seconds\": \
+          %.9f, \"min_seconds\": %.9f, \"max_seconds\": %.9f, \
+          \"converged\": %b}%s\n"
+         r.r_shape r.r_strategy r.r_median r.r_min r.r_max
          r.r_converged
          (if i = List.length results - 1 then "" else ","))
     results;
@@ -840,7 +839,6 @@ let recovery_results () : refresh_result list =
       in
       let mk strategy times converged =
         { r_shape = "recovery"; r_strategy = strategy;
-          r_engine = Exec.engine_to_string !Exec.default_engine;
           r_median = median times;
           r_min = List.fold_left min infinity times;
           r_max = List.fold_left max neg_infinity times;
@@ -860,7 +858,7 @@ let recovery_results () : refresh_result list =
    runs its own tick — while 16 sessions pile units into shared ticks
    and the propagation folds them consolidated. Divergence-gated like
    every other row: after each rep, every view must agree with a full
-   recompute pinned to the row engine. *)
+   recompute. *)
 
 let multi_session_results () : refresh_result list =
   let module Scheduler = Openivm_server.Scheduler in
@@ -922,15 +920,7 @@ let multi_session_results () : refresh_result list =
       !ok
       && List.for_all
            (fun v ->
-              let got = Openivm.Runner.visible_rows v in
-              let expected =
-                let saved = db.Database.exec_engine in
-                db.Database.exec_engine <- Exec.Row;
-                Fun.protect
-                  ~finally:(fun () -> db.Database.exec_engine <- saved)
-                  (fun () -> Openivm.Runner.recompute_rows v)
-              in
-              got = expected)
+              Openivm.Runner.visible_rows v = Openivm.Runner.recompute_rows v)
            ext.Openivm.Runner.ext_views
     in
     (t, converged)
@@ -941,7 +931,6 @@ let multi_session_results () : refresh_result list =
        let times = List.map fst runs in
        { r_shape = "multi_session_churn";
          r_strategy = Printf.sprintf "sessions_%d" n;
-         r_engine = Exec.engine_to_string !Exec.default_engine;
          r_median = median times;
          r_min = List.fold_left min infinity times;
          r_max = List.fold_left max neg_infinity times;
@@ -953,102 +942,80 @@ let refresh_bench () =
   let reps = max 1 !refresh_reps in
   let results = ref [] in
   let diverged = ref [] in
-  (* the executor axis: every cell runs once under the vectorized engine
-     and once under the row interpreter, and both land in the JSON; the
-     correctness gate always recomputes on the row engine, so a vectorized
-     cell that merely agrees with itself cannot pass *)
+  let table =
+    Report.create
+      ~title:
+        (Printf.sprintf
+           "Refresh latency: median of %d propagation(s), %d base rows, %d \
+            delta rows per rep"
+           reps base delta)
+      ~headers:
+        ("view shape"
+         :: List.map Openivm.Flags.strategy_to_string refresh_strategies)
+  in
   List.iter
-    (fun engine ->
-       let ename = Exec.engine_to_string engine in
-       let table =
-         Report.create
-           ~title:
-             (Printf.sprintf
-                "Refresh latency (%s engine): median of %d propagation(s), \
-                 %d base rows, %d delta rows per rep"
-                ename reps base delta)
-           ~headers:
-             ("view shape"
-              :: List.map Openivm.Flags.strategy_to_string refresh_strategies)
+    (fun sh ->
+       let cells =
+         List.map
+           (fun strategy ->
+              let db = Database.create () in
+              let gen = Datagen.create ~seed:99 () in
+              sh.shape_setup db gen;
+              let flags = { Openivm.Flags.default with strategy } in
+              let install_stack () =
+                let upstreams =
+                  List.fold_left
+                    (fun acc sql ->
+                       Openivm.Runner.install
+                         ~flags:(sh.shape_upstream_flags flags)
+                         ~registry:(List.rev acc) db sql
+                       :: acc)
+                    [] sh.shape_upstreams
+                in
+                let registry = List.rev upstreams in
+                let v =
+                  Openivm.Runner.install ~flags:(sh.shape_flags flags)
+                    ~registry db sh.shape_view
+                in
+                (registry, v)
+              in
+              match install_stack () with
+              | exception Openivm.Compiler.Unsupported_view _ -> "n/a"
+              | (upstreams, v) ->
+                (* one discarded warmup rep: the first propagation pays
+                   one-off costs (index builds, stage-table DDL, allocator
+                   growth) that would otherwise inflate max_seconds far
+                   beyond steady state *)
+                sh.shape_delta db gen;
+                Openivm.Runner.force_refresh v;
+                let times =
+                  List.init reps (fun _ ->
+                      sh.shape_delta db gen;
+                      time_unit (fun () -> Openivm.Runner.force_refresh v))
+                in
+                let converged =
+                  List.for_all
+                    (fun u ->
+                       Openivm.Runner.visible_rows u
+                       = Openivm.Runner.recompute_rows u)
+                    (upstreams @ [ v ])
+                in
+                let name = Openivm.Flags.strategy_to_string strategy in
+                if not converged then
+                  diverged := (sh.shape_name, name) :: !diverged;
+                results :=
+                  { r_shape = sh.shape_name; r_strategy = name;
+                    r_median = median times;
+                    r_min = List.fold_left min infinity times;
+                    r_max = List.fold_left max neg_infinity times;
+                    r_converged = converged }
+                  :: !results;
+                pp_duration (median times))
+           refresh_strategies
        in
-       List.iter
-         (fun sh ->
-            let cells =
-              List.map
-                (fun strategy ->
-                   let db = Database.create () in
-                   db.Database.exec_engine <- engine;
-                   let gen = Datagen.create ~seed:99 () in
-                   sh.shape_setup db gen;
-                   let flags =
-                     { Openivm.Flags.default with strategy;
-                       exec_engine = engine }
-                   in
-                   let install_stack () =
-                     let upstreams =
-                       List.fold_left
-                         (fun acc sql ->
-                            Openivm.Runner.install
-                              ~flags:(sh.shape_upstream_flags flags)
-                              ~registry:(List.rev acc) db sql
-                            :: acc)
-                         [] sh.shape_upstreams
-                     in
-                     let registry = List.rev upstreams in
-                     let v =
-                       Openivm.Runner.install ~flags:(sh.shape_flags flags)
-                         ~registry db sh.shape_view
-                     in
-                     (registry, v)
-                   in
-                   match install_stack () with
-                   | exception Openivm.Compiler.Unsupported_view _ -> "n/a"
-                   | (upstreams, v) ->
-                     (* one discarded warmup rep: the first propagation
-                        pays one-off costs (index builds, stage-table
-                        DDL, allocator growth) that would otherwise
-                        inflate max_seconds far beyond steady state *)
-                     sh.shape_delta db gen;
-                     Openivm.Runner.force_refresh v;
-                     let times =
-                       List.init reps (fun _ ->
-                           sh.shape_delta db gen;
-                           time_unit (fun () ->
-                               Openivm.Runner.force_refresh v))
-                     in
-                     let converged =
-                       List.for_all
-                         (fun u ->
-                            let got = Openivm.Runner.visible_rows u in
-                            let expected =
-                              let saved = db.Database.exec_engine in
-                              db.Database.exec_engine <- Exec.Row;
-                              Fun.protect
-                                ~finally:(fun () ->
-                                    db.Database.exec_engine <- saved)
-                                (fun () -> Openivm.Runner.recompute_rows u)
-                            in
-                            got = expected)
-                         (upstreams @ [ v ])
-                     in
-                     let name = Openivm.Flags.strategy_to_string strategy in
-                     if not converged then
-                       diverged := (sh.shape_name, name, ename) :: !diverged;
-                     results :=
-                       { r_shape = sh.shape_name; r_strategy = name;
-                         r_engine = ename;
-                         r_median = median times;
-                         r_min = List.fold_left min infinity times;
-                         r_max = List.fold_left max neg_infinity times;
-                         r_converged = converged }
-                       :: !results;
-                     pp_duration (median times))
-                refresh_strategies
-            in
-            Report.add_row table (sh.shape_name :: cells))
-         (refresh_shapes ());
-       Report.print table)
-    [ Exec.Vector; Exec.Row ];
+       Report.add_row table (sh.shape_name :: cells))
+    (refresh_shapes ());
+  Report.print table;
   (* the recovery rows ride along in the same JSON: shape "recovery",
      one strategy slot per restart path *)
   let recovery = recovery_results () in
@@ -1057,7 +1024,7 @@ let refresh_bench () =
        Printf.printf "recovery/%-16s %s\n" r.r_strategy
          (pp_duration r.r_median);
        if not r.r_converged then
-         diverged := (r.r_shape, r.r_strategy, r.r_engine) :: !diverged)
+         diverged := (r.r_shape, r.r_strategy) :: !diverged)
     recovery;
   (* the serving-layer scaling rows ride along too: shape
      "multi_session_churn", one strategy slot per session count *)
@@ -1067,7 +1034,7 @@ let refresh_bench () =
        Printf.printf "multi_session/%-12s %s\n" r.r_strategy
          (pp_duration r.r_median);
        if not r.r_converged then
-         diverged := (r.r_shape, r.r_strategy, r.r_engine) :: !diverged)
+         diverged := (r.r_shape, r.r_strategy) :: !diverged)
     multi;
   let results = List.rev !results @ recovery @ multi in
   let oc = open_out !refresh_out in
@@ -1077,11 +1044,11 @@ let refresh_bench () =
     (List.length results);
   if !diverged <> [] then begin
     List.iter
-      (fun (shape, strategy, engine) ->
+      (fun (shape, strategy) ->
          Printf.eprintf
-           "BENCH DIVERGENCE: view %s under %s (%s engine) disagrees with \
-            full recompute\n"
-           shape strategy engine)
+           "BENCH DIVERGENCE: view %s under %s disagrees with full \
+            recompute\n"
+           shape strategy)
       (List.rev !diverged);
     exit 1
   end

@@ -409,7 +409,7 @@ let htap_cmd =
 
 (* --- the fuzz subcommand: differential fuzzing of the whole pipeline --- *)
 
-let fuzz_action seed cases max_steps strategy dialect exec corpus replay
+let fuzz_action seed cases max_steps strategy dialect corpus replay
     no_shrink crash_seed =
   let ( let* ) = Result.bind in
   let module F = Openivm_fuzz in
@@ -422,15 +422,6 @@ let fuzz_action seed cases max_steps strategy dialect exec corpus replay
     match dialect with
     | None -> Ok []
     | Some d -> Result.map (fun d -> [ d ]) (dialect_of_string d)
-  in
-  let* engines =
-    match exec with
-    | None | Some "both" -> Ok []
-    | Some e ->
-      (match Openivm_engine.Exec.engine_of_string e with
-       | Some e -> Ok [ e ]
-       | None ->
-         Error (Printf.sprintf "unknown engine %S (use vector, row or both)" e))
   in
   match replay with
   | Some path when Sys.file_exists path && Sys.is_directory path ->
@@ -451,8 +442,7 @@ let fuzz_action seed cases max_steps strategy dialect exec corpus replay
       { case with
         F.Case.strategies =
           (if strategies = [] then case.F.Case.strategies else strategies);
-        dialects = (if dialects = [] then case.F.Case.dialects else dialects);
-        engines = (if engines = [] then case.F.Case.engines else engines) }
+        dialects = (if dialects = [] then case.F.Case.dialects else dialects) }
     in
     (match F.Oracle.first_failure case with
      | None -> (
@@ -475,7 +465,7 @@ let fuzz_action seed cases max_steps strategy dialect exec corpus replay
   | None ->
     let config =
       { F.Campaign.default with
-        base_seed = seed; cases; max_steps; strategies; dialects; engines;
+        base_seed = seed; cases; max_steps; strategies; dialects;
         corpus_dir = corpus; shrink = not no_shrink; crash_seed;
         log = print_endline }
     in
@@ -507,13 +497,6 @@ let fuzz_dialect_arg =
   Arg.(value & opt (some string) None & info [ "dialect" ] ~docv:"NAME"
          ~doc:"Restrict the oracle to one dialect (default: duckdb and \
                postgres).")
-
-let fuzz_exec_arg =
-  Arg.(value & opt (some string) None & info [ "exec" ] ~docv:"ENGINE"
-         ~doc:"Restrict the oracle to one executor: $(b,vector), $(b,row) \
-               or $(b,both) (default: both — each view config runs under \
-               the vectorized engine and the row interpreter, and every \
-               generated SELECT must return identical rows from the two).")
 
 let fuzz_corpus_arg =
   Arg.(value & opt (some string) None & info [ "corpus" ] ~docv:"DIR"
@@ -554,10 +537,10 @@ let fuzz_cmd =
   Cmd.v
     (Cmd.info "fuzz" ~doc ~man)
     Term.(
-      const (fun a b c d e x f g h cs tr ->
-          to_exit (with_trace tr (fun () -> fuzz_action a b c d e x f g h cs)))
+      const (fun a b c d e f g h cs tr ->
+          to_exit (with_trace tr (fun () -> fuzz_action a b c d e f g h cs)))
       $ fuzz_seed_arg $ fuzz_cases_arg $ fuzz_max_steps_arg
-      $ fuzz_strategy_arg $ fuzz_dialect_arg $ fuzz_exec_arg
+      $ fuzz_strategy_arg $ fuzz_dialect_arg
       $ fuzz_corpus_arg $ fuzz_replay_arg $ fuzz_no_shrink_arg
       $ fuzz_crash_seed_arg $ trace_arg)
 

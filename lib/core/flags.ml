@@ -75,9 +75,6 @@ type t = {
           base table (or a swap-strategy upstream view rewriting itself
           wholesale) feeds downstream views a net delta instead of raw
           churn *)
-  exec_engine : Openivm_engine.Exec.engine;
-      (** which interpreter runs the propagation SQL: the vectorized
-          columnar executor (default) or the row-at-a-time oracle *)
 }
 
 let default = {
@@ -90,7 +87,6 @@ let default = {
   paper_compat = false;
   script_dir = None;
   consolidate_deltas = true;
-  exec_engine = Openivm_engine.Exec.Vector;
 }
 
 (** Flags reproducing the paper's demonstrated configuration. *)

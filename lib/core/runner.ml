@@ -209,25 +209,14 @@ let live_fill_stmts v =
                 (Ast.select_tables q)))
       fill
 
-(** Run [f] with the database's executor switched to this set of flags'
-    engine, restoring the previous engine afterwards — a database can host
-    views configured for different engines (the fuzz oracle runs the same
-    workload under both).
-
-    The same scope marks compiler-generated SQL: its bulk INSERT ... SELECT
+(** Run [f] as compiler-generated SQL: its bulk INSERT ... SELECT
     statements into empty keyed tables are GROUP BY outputs (or copies of
     one, via a stage table) keyed by the group columns, so the PK-duplicate
     check in {!Table.insert_many} is provably redundant and skipped. *)
-let with_exec_engine db (flags : Flags.t) f =
-  let saved = db.Database.exec_engine in
-  let saved_hint = db.Database.bulk_distinct_hint in
-  db.Database.exec_engine <- flags.Flags.exec_engine;
+let with_bulk_distinct_hint db f =
+  let saved = db.Database.bulk_distinct_hint in
   db.Database.bulk_distinct_hint <- true;
-  Fun.protect
-    ~finally:(fun () ->
-      db.Database.exec_engine <- saved;
-      db.Database.bulk_distinct_hint <- saved_hint)
-    f
+  Fun.protect ~finally:(fun () -> db.Database.bulk_distinct_hint <- saved) f
 
 (** Propagate this view's pending deltas, cascade-aware:
 
@@ -263,7 +252,7 @@ let rec force_refresh_local v =
        Fun.protect
          ~finally:(fun () -> v.in_refresh <- false)
          (fun () ->
-            with_exec_engine v.db v.compiled.Compiler.flags @@ fun () ->
+            with_bulk_distinct_hint v.db @@ fun () ->
             consolidate v;
             run_step v "fill" (live_fill_stmts v);
             run_step v "combine" script.Propagate.combine;
@@ -328,7 +317,7 @@ let eager_refresh v =
     compiled scripts in place. *)
 let rec reinitialize v =
   let catalog = Database.catalog v.db in
-  with_exec_engine v.db v.compiled.Compiler.flags @@ fun () ->
+  with_bulk_distinct_hint v.db @@ fun () ->
   Trigger.without_hooks (Database.triggers v.db) (fun () ->
       ignore (Table.truncate (Catalog.find_table catalog (view_name v)));
       List.iter
@@ -445,7 +434,7 @@ let install ?(flags = Flags.default) ?(registry = [])
          | `Immediate ->
            (* initial load must not be captured as a delta *)
            Span.with_span "initial_load" (fun _ ->
-               with_exec_engine db flags (fun () ->
+               with_bulk_distinct_hint db (fun () ->
                    Trigger.without_hooks (Database.triggers db) (fun () ->
                        exec_stmts db [ compiled.Compiler.initial_load ])))
          | `Deferred | `Attach -> ());
@@ -529,7 +518,7 @@ let backfill_chunk v ~chunk_rows ~index =
        Metrics.incr m_backfill_chunks;
        if not (backfill_chunkable v) then begin
          (* single whole-shot chunk: the ordinary initial load *)
-         with_exec_engine v.db v.compiled.Compiler.flags (fun () ->
+         with_bulk_distinct_hint v.db (fun () ->
              Trigger.without_hooks (Database.triggers v.db) (fun () ->
                  exec_stmts v.db [ v.compiled.Compiler.initial_load ]));
          0

@@ -25,6 +25,7 @@ type t = {
   (* per-statement artificial latency, used by the HTAP bridge to model a
      remote round trip; 0.0 for an embedded engine *)
   mutable statement_latency : float;
+  (* a vestige nothing reads: every plan runs on [Exec.run] *)
   mutable exec_engine : Exec.engine;
   (* set while running compiler-generated propagation SQL: bulk inserts
      into empty keyed tables are GROUP BY outputs, so their PK-duplicate
@@ -52,7 +53,7 @@ let create ?(name = "minidb") () = {
   };
   optimizer_enabled = true;
   statement_latency = 0.0;
-  exec_engine = !Exec.default_engine;
+  exec_engine = Exec.Row;
   bulk_distinct_hint = false;
 }
 
@@ -105,7 +106,7 @@ let plan_select t (s : Sql.Ast.select) : Plan.t =
 
 let run_select t (s : Sql.Ast.select) : query_result =
   let plan = plan_select t s in
-  let r = Vexec.run_with t.exec_engine t.catalog plan in
+  let r = Exec.run t.catalog plan in
   let n = List.length r.Exec.rows in
   t.profile.rows_read <- t.profile.rows_read + n;
   Openivm_obs.Metrics.add m_rows_read n;
@@ -196,9 +197,8 @@ let rec exec_stmt t (stmt : Sql.Ast.stmt) : exec_result =
   | Sql.Ast.Insert { table; columns; source; on_conflict } ->
     timed `Dml (fun () ->
         let o =
-          Dml.exec_insert ~engine:t.exec_engine
-            ~distinct_hint:t.bulk_distinct_hint t.catalog t.triggers ~table
-            ~columns ~source ~on_conflict
+          Dml.exec_insert ~distinct_hint:t.bulk_distinct_hint t.catalog
+            t.triggers ~table ~columns ~source ~on_conflict
         in
         t.profile.rows_written <- t.profile.rows_written + o.Dml.affected;
         Openivm_obs.Metrics.add m_rows_written o.Dml.affected;

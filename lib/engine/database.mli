@@ -19,8 +19,10 @@ type t = {
   mutable optimizer_enabled : bool;
   mutable statement_latency : float;
   mutable exec_engine : Exec.engine;
-      (** Which interpreter runs SELECT / INSERT..SELECT plans; initialized
-          from [Exec.default_engine]. *)
+      (** A vestige nothing reads: every SELECT and INSERT..SELECT plan runs
+          on the row interpreter ({!Exec.run}). It stays only because
+          [perfbench/gate.ml] still assigns it; remove it together with
+          {!Exec.engine} once that line goes. *)
   mutable bulk_distinct_hint : bool;
       (** Set while running compiler-generated propagation SQL, whose bulk
           inserts into empty keyed tables are GROUP BY outputs: forwards

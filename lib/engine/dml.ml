@@ -49,16 +49,13 @@ let coerce_to_schema (schema : Schema.t) (row : Row.t) : Row.t =
   coercer schema row
 
 (** Plans with no compute — bare scans and column-only projections of one
-    — gain nothing from batching; reading them as rows skips the
-    batchify/unbatchify round trip on INSERT ... SELECT, which is the
-    propagation swap's second statement. A projection that turns out to
-    be the identity additionally shares the source row arrays outright
-    (rows are immutable payloads; in-place UPDATE copies first). Both
-    engines resolve columns identically, so the differential oracle is
-    unaffected. Returns [None] for plans that need a real executor;
-    successful reads also carry the source schema so the caller can skip
-    re-coercing rows that already passed an identically-typed table's
-    coercion. *)
+    — read their rows straight out of the source on INSERT ... SELECT,
+    which is the propagation swap's second statement. A projection that
+    turns out to be the identity shares the source row arrays outright
+    (rows are immutable payloads; in-place UPDATE copies first). Returns
+    [None] for plans that need the executor; successful reads also carry
+    the source schema so the caller can skip re-coercing rows that already
+    passed an identically-typed table's coercion. *)
 let rows_of_simple_plan (catalog : Catalog.t) (plan : Plan.t) :
   (Row.t list * Schema.t) option =
   let simple = function
@@ -105,56 +102,9 @@ let rows_of_simple_plan (catalog : Catalog.t) (plan : Plan.t) :
     end
   | _ -> None
 
-(** Column-wise coercion of a batch against the target schema: when every
-    column's kind already matches its declared type (or is an int column
-    feeding a FLOAT column), the batch boxes straight into rows with no
-    per-value checking — NOT NULL holds iff the validity bitmap is full.
-    Returns [None] when any column needs value-level work (boxed lanes,
-    TEXT-to-DATE casts), sending the whole batch down the row path. *)
-let coerce_batch (cols : Schema.column array) (b : Vec.Batch.t) :
-  Row.t list option =
-  let module Col = Vec.Col in
-  let module Batch = Vec.Batch in
-  let b = Batch.flatten b in
-  let width = Array.length b.Batch.cols in
-  if width <> Array.length cols then
-    Error.fail "expected %d values, got %d" (Array.length cols) width;
-  let exception Fallback in
-  try
-    let coerced =
-      Array.mapi
-        (fun j (c : Col.t) ->
-           let sc = cols.(j) in
-           if
-             sc.Schema.not_null
-             && not
-                  (match c.Col.valid with
-                   | None ->
-                     (match c.Col.data with Col.Boxed _ -> false | _ -> true)
-                   | Some bm -> Vec.Bitmap.all_set bm)
-           then raise_notrace Fallback (* row path reports the violation *)
-           else
-             match sc.Schema.typ, c.Col.data with
-             | Sql.Ast.T_int, Col.Ints _
-             | Sql.Ast.T_float, Col.Floats _
-             | Sql.Ast.T_text, Col.Strs _
-             | Sql.Ast.T_bool, Col.Bools _
-             | Sql.Ast.T_date, Col.Dates _ -> c
-             | Sql.Ast.T_float, Col.Ints a ->
-               { Col.data = Col.Floats (Array.map float_of_int a);
-                 valid = c.Col.valid }
-             | _ -> raise_notrace Fallback)
-        b.Batch.cols
-    in
-    Some
-      (Array.to_list
-         (Batch.to_rows { b with Batch.cols = coerced }))
-  with Fallback -> None
-
 (** Rows for an INSERT: evaluate the source, then scatter the values into
     table column order (missing columns become NULL). *)
-let insert_rows ~(engine : Exec.engine) (catalog : Catalog.t)
-    (table : Table.t) (columns : string list)
+let insert_rows (catalog : Catalog.t) (table : Table.t) (columns : string list)
     (source : Sql.Ast.insert_source) : Row.t list =
   let schema = table.Table.schema in
   (* a column list that names every table column in order is the same as
@@ -168,45 +118,19 @@ let insert_rows ~(engine : Exec.engine) (catalog : Catalog.t)
     then []
     else columns
   in
-  let schema_arr = Array.of_list schema in
   let produced, src_schema =
     match source with
     | Sql.Ast.Values rows ->
-      ( `Rows
-          (List.map
-             (fun exprs -> Array.of_list (List.map Expr.eval_const exprs))
-             rows),
+      ( List.map
+          (fun exprs -> Array.of_list (List.map Expr.eval_const exprs))
+          rows,
         None )
     | Sql.Ast.Query q ->
       let plan = Optimizer.optimize catalog (Planner.plan catalog q) in
       (match rows_of_simple_plan catalog plan with
-       | Some (rows, src) -> (`Rows rows, Some src)
-       | None ->
-         (match (Vexec.run_payload engine catalog plan).Vexec.data with
-          | Vexec.Rows rows -> (`Rows rows, None)
-          | Vexec.Batches bs when columns = [] ->
-            (* coerce column-wise where possible; any batch that can't is
-               boxed and sent through the per-row coercer *)
-            ( `Coerced
-                (List.concat_map
-                   (fun b ->
-                      match coerce_batch schema_arr b with
-                      | Some rows -> rows
-                      | None ->
-                        List.map (coercer schema)
-                          (Array.to_list (Vec.Batch.to_rows b)))
-                   bs),
-              None )
-          | Vexec.Batches bs ->
-            ( `Rows
-                (List.concat_map
-                   (fun b -> Array.to_list (Vec.Batch.to_rows b))
-                   bs),
-              None )))
+       | Some (rows, src) -> (rows, Some src)
+       | None -> ((Exec.run catalog plan).Exec.rows, None))
   in
-  match produced with
-  | `Coerced rows -> rows
-  | `Rows produced ->
   (* rows lifted straight out of a table whose column types (and NOT NULL
      obligations) already match the target have nothing left to coerce —
      the propagation swap's stage-to-view copy takes this path *)
@@ -246,10 +170,10 @@ let insert_rows ~(engine : Exec.engine) (catalog : Catalog.t)
   in
   if already_coerced then placed else List.map (coercer schema) placed
 
-let exec_insert ?(engine = !Exec.default_engine) ?(distinct_hint = false)
-    catalog triggers ~table ~columns ~source ~on_conflict : outcome =
+let exec_insert ?(distinct_hint = false) catalog triggers ~table ~columns
+    ~source ~on_conflict : outcome =
   let tbl = Catalog.find_table catalog table in
-  let rows = insert_rows ~engine catalog tbl columns source in
+  let rows = insert_rows catalog tbl columns source in
   let change =
     match on_conflict with
     | Sql.Ast.No_conflict_clause ->

@@ -15,14 +15,12 @@ val candidate_slots : Table.t -> Sql.Ast.expr option -> int list option
     or [None] when no index applies. *)
 
 val exec_insert :
-  ?engine:Exec.engine ->
   ?distinct_hint:bool ->
   Catalog.t -> Trigger.t -> table:string -> columns:string list ->
   source:Sql.Ast.insert_source -> on_conflict:Sql.Ast.conflict_action ->
   outcome
-(** [engine] (default [!Exec.default_engine]) runs the plan behind an
-    [INSERT ... SELECT] source. [distinct_hint] (default false) forwards
-    to {!Table.insert_many}'s [distinct_keys]. *)
+(** [distinct_hint] (default false) forwards to {!Table.insert_many}'s
+    [distinct_keys]. *)
 
 val exec_delete :
   Catalog.t -> Trigger.t -> table:string -> where:Sql.Ast.expr option -> outcome

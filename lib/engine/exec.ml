@@ -11,20 +11,9 @@ type result = {
   rows : Row.t list;
 }
 
-(** Which interpreter executes plans: the columnar batch executor
-    ([Vexec], the default) or this row-at-a-time interpreter, kept as the
-    differential oracle. The type lives here so callers on both sides of
-    the [Vexec] dependency edge can name it. *)
-type engine = Row | Vector
-
-let default_engine = ref Vector
-
-let engine_to_string = function Row -> "row" | Vector -> "vector"
-
-let engine_of_string = function
-  | "row" -> Some Row
-  | "vector" -> Some Vector
-  | _ -> None
+(* The one interpreter there is. Nothing chooses on this type; it stays
+   only as long as [Database.exec_engine] does. *)
+type engine = Row
 
 let lookup_of catalog table = (Catalog.find_table catalog table).Table.schema
 
@@ -339,27 +328,11 @@ and subquery_values catalog (q : Sql.Ast.select) : Value.t list =
 and compile_expr catalog schema e =
   Expr.compile ~subquery:(subquery_values catalog) schema e
 
+(* Each input runs at most once, and only when needed: the index
+   nested-loop path never materializes the indexed side. *)
 and run_join catalog schema left right kind condition : result =
-  let l_cache = ref None and r_cache = ref None in
-  let get_l () =
-    match !l_cache with
-    | Some x -> x
-    | None -> let x = run catalog left in l_cache := Some x; x
-  in
-  let get_r () =
-    match !r_cache with
-    | Some x -> x
-    | None -> let x = run catalog right in r_cache := Some x; x
-  in
-  join_materialized catalog schema left right kind condition ~get_l ~get_r
-
-(* The join algorithm proper, parameterized over how the two inputs are
-   produced ([get_l]/[get_r] are called at most once each; the index
-   nested-loop path never materializes the indexed side). [Vexec] calls
-   this with its own thunks so both engines share one set of join
-   semantics — INLJ choice, build-side choice, match ordering. *)
-and join_materialized catalog schema left right kind condition ~get_l ~get_r :
-  result =
+  let l_run = lazy (run catalog left) and r_run = lazy (run catalog right) in
+  let get_l () = Lazy.force l_run and get_r () = Lazy.force r_run in
   let lookup = lookup_of catalog in
   let ls = Plan.schema_of ~lookup left in
   let rs = Plan.schema_of ~lookup right in
@@ -608,13 +581,9 @@ and join_materialized catalog schema left right kind condition ~get_l ~get_r :
          finish (List.rev !pairs) unmatched_l unmatched_r
        end)
 
+(* Hash aggregation; groups come out in first-seen order. *)
 and run_aggregate catalog schema input group_exprs aggs : result =
-  aggregate_rows catalog schema ~inner:(run catalog input) group_exprs aggs
-
-(* Hash aggregation over a materialized input — shared with [Vexec]'s
-   boxed fallback so both engines agree on group order (first-seen) and
-   accumulator semantics. *)
-and aggregate_rows catalog schema ~(inner : result) group_exprs aggs : result =
+  let inner = run catalog input in
   let group_compiled =
     List.map (fun (e, _) -> compile_expr catalog inner.schema e) group_exprs
   in

@@ -227,9 +227,7 @@ let neg_value = function
   | Value.Float f -> Value.Float (-.f)
   | v -> Error.fail "cannot negate %s" (Value.type_name v)
 
-(* the per-value primitive behind each binary operator — the vectorized
-   executor's elementwise fallback kernels use these directly, so both
-   engines share one set of value semantics *)
+(* the per-value primitive behind each binary operator *)
 let binop_fn : Sql.Ast.binop -> Value.t -> Value.t -> Value.t = function
   | Sql.Ast.Add -> add
   | Sql.Ast.Sub -> sub

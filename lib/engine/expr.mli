@@ -25,20 +25,7 @@ val resolves : Schema.t -> Sql.Ast.expr -> bool
 (** True when every column reference resolves in the schema (and the
     expression contains no stars or aggregates). *)
 
-val neg_value : Value.t -> Value.t
-(** Unary minus with NULL propagation. *)
-
-val logical_not : Value.t -> Value.t
-(** SQL NOT with NULL propagation. *)
-
-val binop_fn : Sql.Ast.binop -> Value.t -> Value.t -> Value.t
-(** The per-value primitive behind each binary operator (NULL propagation,
-    Kleene AND/OR, always-float division) — shared with the vectorized
-    executor's elementwise fallback kernels. *)
-
 val cast_value : Sql.Ast.typ -> Value.t -> Value.t
-val lit_value : Sql.Ast.lit -> Value.t
-val like_match : pattern:string -> string -> bool
 val scalar_function : string -> Value.t list -> Value.t
 
 val infer_type : Schema.t -> Sql.Ast.expr -> Sql.Ast.typ

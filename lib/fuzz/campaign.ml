@@ -14,7 +14,6 @@ type config = {
   queries : int;
   strategies : Flags.combine_strategy list;  (** [] = every strategy *)
   dialects : Dialect.t list;                 (** [] = duckdb and postgres *)
-  engines : Openivm_engine.Exec.engine list; (** [] = vector and row *)
   corpus_dir : string option;  (** where to save shrunk reproducers *)
   shrink : bool;
   crash_seed : int option;
@@ -26,7 +25,7 @@ type config = {
 
 let default =
   { base_seed = 42; cases = 100; max_steps = 30; queries = 4;
-    strategies = []; dialects = []; engines = []; corpus_dir = None;
+    strategies = []; dialects = []; corpus_dir = None;
     shrink = true; crash_seed = None; log = ignore }
 
 type case_failure = {
@@ -101,8 +100,7 @@ let run (cfg : config) : report =
     let case =
       { (Gen.case ~max_steps:cfg.max_steps ~queries:cfg.queries ~seed ()) with
         Case.strategies = cfg.strategies;
-        dialects = cfg.dialects;
-        engines = cfg.engines }
+        dialects = cfg.dialects }
     in
     let t_case = Clock.now () in
     let outcome =

@@ -12,7 +12,6 @@ type config = {
   queries : int;
   strategies : Flags.combine_strategy list;  (** [] = every strategy *)
   dialects : Dialect.t list;                 (** [] = duckdb and postgres *)
-  engines : Openivm_engine.Exec.engine list; (** [] = vector and row *)
   corpus_dir : string option;  (** where to save shrunk reproducers *)
   shrink : bool;
   crash_seed : int option;

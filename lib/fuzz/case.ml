@@ -8,7 +8,6 @@
 
 module Flags = Openivm.Flags
 module Dialect = Openivm_sql.Dialect
-module Exec = Openivm_engine.Exec
 
 type t = {
   seed : int;          (** generator seed, for provenance and replay *)
@@ -23,36 +22,30 @@ type t = {
   queries : string list;   (** SELECTs for the optimizer/roundtrip oracle *)
   strategies : Flags.combine_strategy list;  (** [] = every strategy *)
   dialects : Dialect.t list;                 (** [] = duckdb and postgres *)
-  engines : Exec.engine list;                (** [] = vector and row *)
 }
 
 let all_dialects = [ Dialect.duckdb; Dialect.postgres ]
-let all_engines = [ Exec.Vector; Exec.Row ]
 
 let strategies c =
   if c.strategies = [] then Flags.all_strategies else c.strategies
 
 let dialects c = if c.dialects = [] then all_dialects else c.dialects
-let engines c = if c.engines = [] then all_engines else c.engines
 
 let empty =
   { seed = 0; max_steps = 0; note = ""; schema = []; setup = []; views = [];
-    workload = []; queries = []; strategies = []; dialects = []; engines = [] }
+    workload = []; queries = []; strategies = []; dialects = [] }
 
 (** The exact CLI invocation that regenerates and re-checks this case —
     every oracle failure message embeds it so failures are one-paste
     reproducible. *)
-let command ?strategy ?dialect ?engine ?crash_seed c =
-  Printf.sprintf "openivm fuzz --seed %d --cases 1 --max-steps %d%s%s%s%s"
+let command ?strategy ?dialect ?crash_seed c =
+  Printf.sprintf "openivm fuzz --seed %d --cases 1 --max-steps %d%s%s%s"
     c.seed c.max_steps
     (match strategy with
      | Some s -> " --strategy " ^ Flags.strategy_to_string s
      | None -> "")
     (match dialect with
      | Some d -> " --dialect " ^ d.Dialect.name
-     | None -> "")
-    (match engine with
-     | Some e -> " --exec " ^ Exec.engine_to_string e
      | None -> "")
     (match crash_seed with
      | Some n -> Printf.sprintf " --crash-seed %d" n
@@ -70,10 +63,6 @@ let dialects_to_string = function
   | [] -> "all"
   | l -> String.concat "," (List.map (fun d -> d.Dialect.name) l)
 
-let engines_to_string = function
-  | [] -> "all"
-  | l -> String.concat "," (List.map Exec.engine_to_string l)
-
 let to_string c =
   let b = Buffer.create 1024 in
   let line fmt =
@@ -88,7 +77,6 @@ let to_string c =
   line "-- max-steps: %d" c.max_steps;
   line "-- strategies: %s" (strategies_to_string c.strategies);
   line "-- dialects: %s" (dialects_to_string c.dialects);
-  line "-- engines: %s" (engines_to_string c.engines);
   if c.note <> "" then line "-- note: %s" c.note;
   let section name stmts =
     if stmts <> [] then begin
@@ -130,19 +118,6 @@ let parse_dialects s : (Dialect.t list, string) result =
         (match Dialect.of_string (strip n) with
          | Some d -> go (d :: acc) rest
          | None -> Error (Printf.sprintf "unknown dialect %S" (strip n)))
-    in
-    go [] names
-
-let parse_engines s : (Exec.engine list, string) result =
-  if strip s = "all" then Ok []
-  else
-    let names = String.split_on_char ',' s in
-    let rec go acc = function
-      | [] -> Ok (List.rev acc)
-      | n :: rest ->
-        (match Exec.engine_of_string (strip n) with
-         | Some e -> go (e :: acc) rest
-         | None -> Error (Printf.sprintf "unknown engine %S" (strip n)))
     in
     go [] names
 
@@ -210,15 +185,9 @@ let of_string text : (t, string) result =
                         | Ok l -> case := { !case with dialects = l }
                         | Error e -> fail e)
                      | None ->
-                       (match header_value line "engines" with
-                        | Some v ->
-                          (match parse_engines v with
-                           | Ok l -> case := { !case with engines = l }
-                           | Error e -> fail e)
-                        | None ->
-                          (match header_value line "note" with
-                           | Some v -> case := { !case with note = v }
-                           | None -> ()  (* any other comment is ignored *)))))))
+                       (match header_value line "note" with
+                        | Some v -> case := { !case with note = v }
+                        | None -> ()  (* any other comment is ignored *))))))
        end
        else add line)
     lines;

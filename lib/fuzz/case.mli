@@ -4,7 +4,6 @@
 
 module Flags = Openivm.Flags
 module Dialect = Openivm_sql.Dialect
-module Exec = Openivm_engine.Exec
 
 type t = {
   seed : int;          (** generator seed, for provenance and replay *)
@@ -19,15 +18,10 @@ type t = {
   queries : string list;   (** SELECTs for the optimizer/roundtrip oracle *)
   strategies : Flags.combine_strategy list;  (** [] = every strategy *)
   dialects : Dialect.t list;                 (** [] = duckdb and postgres *)
-  engines : Exec.engine list;                (** [] = vector and row *)
 }
 
 val all_dialects : Dialect.t list
 (** The dialect matrix an unrestricted case is checked under. *)
-
-val all_engines : Exec.engine list
-(** The executor matrix an unrestricted case is checked under: the
-    vectorized engine first, then the row oracle. *)
 
 val strategies : t -> Flags.combine_strategy list
 (** The effective strategy list ([Flags.all_strategies] when unset). *)
@@ -35,14 +29,11 @@ val strategies : t -> Flags.combine_strategy list
 val dialects : t -> Dialect.t list
 (** The effective dialect list ([all_dialects] when unset). *)
 
-val engines : t -> Exec.engine list
-(** The effective executor list ([all_engines] when unset). *)
-
 val empty : t
 
 val command :
   ?strategy:Flags.combine_strategy -> ?dialect:Dialect.t ->
-  ?engine:Exec.engine -> ?crash_seed:int -> t -> string
+  ?crash_seed:int -> t -> string
 (** The exact [openivm fuzz] CLI invocation that regenerates and re-checks
     this case — embedded in every failure message. [crash_seed] replays
     the {!Durable} crash-injection axis too. *)
@@ -51,4 +42,6 @@ val to_string : t -> string
 (** Render in the corpus file format (headers + one statement per line). *)
 
 val of_string : string -> (t, string) result
-(** Parse the corpus file format back. *)
+(** Parse the corpus file format back. Unknown [-- key: value] headers
+    are ignored, so reproducers written with headers this version no longer
+    reads (such as [-- engines:]) still load. *)

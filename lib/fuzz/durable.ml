@@ -153,7 +153,6 @@ let check ~crash_seed (case : Case.t) : int * Oracle.failure option =
               { Oracle.case;
                 strategy = Some strategy;
                 dialect = None;
-                engine = None;
                 point = Oracle.Durability;
                 message =
                   Printf.sprintf "[%s] %s: %s\n  reproduce: %s"

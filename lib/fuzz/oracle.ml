@@ -14,7 +14,6 @@
 module Flags = Openivm.Flags
 module Runner = Openivm.Runner
 module Dialect = Openivm_sql.Dialect
-module Exec = Openivm_engine.Exec
 open Openivm_engine
 
 type point =
@@ -28,7 +27,6 @@ type failure = {
   case : Case.t;
   strategy : Flags.combine_strategy option;
   dialect : Dialect.t option;
-  engine : Exec.engine option;
   point : point;
   message : string;    (** human-readable, ends with the reproducer *)
 }
@@ -65,7 +63,7 @@ exception Check_failed of point * string
 
 (* --- the view differential: one (strategy, dialect) configuration --- *)
 
-let run_view_config (case : Case.t) strategy dialect engine :
+let run_view_config (case : Case.t) strategy dialect :
   (int, point * string) result =
   match case.Case.views with
   | [] -> Ok 0
@@ -74,10 +72,9 @@ let run_view_config (case : Case.t) strategy dialect engine :
     let phase = ref Install in
     (try
        let db = Database.create () in
-       db.Database.exec_engine <- engine;
        exec_all db case.Case.schema;
        exec_all db case.Case.setup;
-       let flags = { Flags.default with strategy; dialect; exec_engine = engine } in
+       let flags = { Flags.default with strategy; dialect } in
        (* install in order, each view registered as a potential upstream
           of the next — this is how cascade stacks come up in the wild *)
        let views =
@@ -96,16 +93,7 @@ let run_view_config (case : Case.t) strategy dialect engine :
            (fun v ->
               incr checks;
               Runner.refresh v;
-              (* the full recompute always runs on the row interpreter, so
-                 vectorized propagation is judged against an independent
-                 executor rather than against itself *)
-              let expected =
-                let saved = db.Database.exec_engine in
-                db.Database.exec_engine <- Exec.Row;
-                Fun.protect
-                  ~finally:(fun () -> db.Database.exec_engine <- saved)
-                  (fun () -> Runner.recompute_rows v)
-              in
+              let expected = Runner.recompute_rows v in
               let got = Runner.visible_rows v in
               if expected <> got then
                 raise
@@ -136,13 +124,11 @@ let sorted_rows db sql =
   List.sort String.compare
     (List.map Row.to_string (Database.query db sql).Database.rows)
 
-let run_queries (case : Case.t) (engines : Exec.engine list) :
-  (int, Exec.engine option * (point * string)) result =
+let run_queries (case : Case.t) : (int, point * string) result =
   if case.Case.queries = [] then Ok 0
   else begin
     let checks = ref 0 in
     let phase = ref (Query 0) in
-    let cur_engine = ref None in
     try
       let db = Database.create () in
       exec_all db case.Case.schema;
@@ -152,120 +138,79 @@ let run_queries (case : Case.t) (engines : Exec.engine list) :
       List.iteri
         (fun i sql ->
            phase := Query i;
-           let per_engine =
-             List.map
-               (fun engine ->
-                  cur_engine := Some engine;
-                  db.Database.exec_engine <- engine;
-                  let optimized = sorted_rows db sql in
-                  db.Database.optimizer_enabled <- false;
-                  let plain =
-                    Fun.protect
-                      ~finally:(fun () -> db.Database.optimizer_enabled <- true)
-                      (fun () -> sorted_rows db sql)
-                  in
-                  incr checks;
-                  if plain <> optimized then
-                    raise
-                      (Check_failed
-                         ( Query i,
-                           diff_message
-                             ~what:("optimizer changes results: " ^ sql)
-                             ~expected:plain ~got:optimized ));
-                  let reprinted =
-                    Openivm_sql.Pretty.stmt_to_sql Dialect.minidb
-                      (Openivm_sql.Parser.parse_statement sql)
-                  in
-                  incr checks;
-                  let roundtrip = sorted_rows db reprinted in
-                  if roundtrip <> optimized then
-                    raise
-                      (Check_failed
-                         ( Query i,
-                           diff_message
-                             ~what:
-                               (Printf.sprintf
-                                  "print/parse roundtrip changes results: %s \
-                                   -> %s"
-                                  sql reprinted)
-                             ~expected:optimized ~got:roundtrip ));
-                  (engine, optimized))
-               engines
+           let optimized = sorted_rows db sql in
+           db.Database.optimizer_enabled <- false;
+           let plain =
+             Fun.protect
+               ~finally:(fun () -> db.Database.optimizer_enabled <- true)
+               (fun () -> sorted_rows db sql)
            in
-           (* the executor differential: every engine must produce the
-              same bag of rows for the same SELECT *)
-           match per_engine with
-           | [] -> ()
-           | (e0, rows0) :: rest ->
-             List.iter
-               (fun (e, rows) ->
-                  cur_engine := Some e;
-                  incr checks;
-                  if rows <> rows0 then
-                    raise
-                      (Check_failed
-                         ( Query i,
-                           diff_message
-                             ~what:
-                               (Printf.sprintf
-                                  "executors disagree (%s vs %s): %s"
-                                  (Exec.engine_to_string e)
-                                  (Exec.engine_to_string e0) sql)
-                             ~expected:rows0 ~got:rows )))
-               rest)
+           incr checks;
+           if plain <> optimized then
+             raise
+               (Check_failed
+                  ( Query i,
+                    diff_message
+                      ~what:("optimizer changes results: " ^ sql)
+                      ~expected:plain ~got:optimized ));
+           let reprinted =
+             Openivm_sql.Pretty.stmt_to_sql Dialect.minidb
+               (Openivm_sql.Parser.parse_statement sql)
+           in
+           incr checks;
+           let roundtrip = sorted_rows db reprinted in
+           if roundtrip <> optimized then
+             raise
+               (Check_failed
+                  ( Query i,
+                    diff_message
+                      ~what:
+                        (Printf.sprintf
+                           "print/parse roundtrip changes results: %s -> %s"
+                           sql reprinted)
+                      ~expected:optimized ~got:roundtrip )))
         case.Case.queries;
       Ok !checks
     with
-    | Check_failed (p, m) -> Error (!cur_engine, (p, m))
-    | e -> Error (!cur_engine, (!phase, Printexc.to_string e))
+    | Check_failed (p, m) -> Error (p, m)
+    | e -> Error (!phase, Printexc.to_string e)
   end
 
 (* --- the full matrix --- *)
 
-let make_failure case ?strategy ?dialect ?engine (point, msg) =
-  let engine_tag =
-    match engine with
-    | Some e -> Exec.engine_to_string e
-    | None -> ""
-  in
+let make_failure case ?strategy ?dialect (point, msg) =
   let where =
     match strategy, dialect with
     | Some s, Some d ->
-      Printf.sprintf "[%s/%s%s] " (Flags.strategy_to_string s) d.Dialect.name
-        (if engine_tag = "" then "" else "/" ^ engine_tag)
-    | _ -> if engine_tag = "" then "" else Printf.sprintf "[%s] " engine_tag
+      Printf.sprintf "[%s/%s] " (Flags.strategy_to_string s) d.Dialect.name
+    | _ -> ""
   in
-  { case; strategy; dialect; engine; point;
+  { case; strategy; dialect; point;
     message =
       Printf.sprintf "%s%s: %s\n  reproduce: %s" where (point_to_string point)
         msg
-        (Case.command ?strategy ?dialect ?engine case) }
+        (Case.command ?strategy ?dialect case) }
 
 let run (case : Case.t) : outcome =
   let checks = ref 0 in
-  let engines = Case.engines case in
-  match run_queries case engines with
-  | Error (engine, e) ->
-    { checks = !checks; failure = Some (make_failure case ?engine e) }
+  match run_queries case with
+  | Error e -> { checks = !checks; failure = Some (make_failure case e) }
   | Ok n ->
     checks := !checks + n;
     let rec over_configs = function
       | [] -> { checks = !checks; failure = None }
-      | (strategy, dialect, engine) :: rest ->
-        (match run_view_config case strategy dialect engine with
+      | (strategy, dialect) :: rest ->
+        (match run_view_config case strategy dialect with
          | Ok n ->
            checks := !checks + n;
            over_configs rest
          | Error e ->
            { checks = !checks;
-             failure = Some (make_failure case ~strategy ~dialect ~engine e) })
+             failure = Some (make_failure case ~strategy ~dialect e) })
     in
     over_configs
       (List.concat_map
-         (fun s ->
-            List.concat_map
-              (fun d -> List.map (fun e -> (s, d, e)) engines)
-              (Case.dialects case))
+         (fun s -> List.map (fun d -> (s, d)) (Case.dialects case))
          (Case.strategies case))
 
 (** The shrinker's predicate: [Some message] when the case still fails. *)

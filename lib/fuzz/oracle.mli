@@ -1,13 +1,9 @@
 (** The differential oracle: view ≡ full recompute after every refresh
-    (per combine strategy × dialect × executor, with the recompute always
-    on the row interpreter so the vectorized engine is judged against an
-    independent executor), vectorized ≡ row for every generated SELECT,
-    optimizer-on ≡ optimizer-off and print → parse → execute
-    row-identity. *)
+    (per combine strategy × dialect), optimizer-on ≡ optimizer-off and
+    print → parse → execute row-identity for every generated SELECT. *)
 
 module Flags = Openivm.Flags
 module Dialect = Openivm_sql.Dialect
-module Exec = Openivm_engine.Exec
 
 type point =
   | Install            (** compiling / installing the view *)
@@ -20,7 +16,6 @@ type failure = {
   case : Case.t;
   strategy : Flags.combine_strategy option;
   dialect : Dialect.t option;
-  engine : Exec.engine option;
   point : point;
   message : string;    (** human-readable, ends with the reproducer *)
 }

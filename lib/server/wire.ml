@@ -84,8 +84,15 @@ let render_request = function
   | Ping -> "PING"
   | Quit -> "QUIT"
 
+(* No trimming: blanks at either end of a tenant or of SQL text are data.
+   Only one trailing raw \r goes, so CRLF clients keep working; [escape]
+   never emits a raw \r, so that byte is never payload. *)
 let parse_request line =
-  let verb, rest = split_verb (String.trim line) in
+  let n = String.length line in
+  let line =
+    if n > 0 && line.[n - 1] = '\r' then String.sub line 0 (n - 1) else line
+  in
+  let verb, rest = split_verb line in
   match (String.uppercase_ascii verb, rest) with
   | "HELLO", tenant when tenant <> "" -> Ok (Hello (unescape tenant))
   | "HELLO", _ -> Error "HELLO needs a tenant name"

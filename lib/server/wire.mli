@@ -50,6 +50,8 @@ val unescape : string -> string
 
 val render_request : request -> string
 val parse_request : string -> (request, string) result
+(** Inverse of {!render_request}. The line is not trimmed; at most one
+    trailing raw [\r] is dropped, for CRLF clients. *)
 
 val render_response : response -> string list
 (** One line per frame; [Rows] renders to [2 + length rows] lines. *)

@@ -5,7 +5,6 @@ let () =
       ("pretty", Test_pretty.suite);
       ("value", Test_value.suite);
       ("vec", Test_vec.suite);
-      ("vexec", Test_vexec.suite);
       ("schema", Test_schema.suite);
       ("art", Test_art.suite);
       ("expr", Test_expr.suite);

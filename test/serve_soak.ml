@@ -7,12 +7,12 @@
     through the single-writer scheduler, while the main thread fetches
     [/metrics] over raw HTTP mid-churn. The gate is the sequential
     replay oracle: the scheduler's journal (the serial order the ticks
-    actually applied) is replayed single-session into a fresh database
-    pinned to the row-at-a-time engine, and every view plus the base
-    table must come out byte-identical — interleaved sessions, rollbacks
-    and consolidated ticks change nothing about the result. Each run
-    also asserts, via the scheduler's counters, that at least one tick
-    consolidated units from two or more sessions into one propagation.
+    actually applied) is replayed single-session into a fresh database,
+    and every view plus the base table must come out byte-identical —
+    interleaved sessions, rollbacks and consolidated ticks change
+    nothing about the result. Each run also asserts, via the
+    scheduler's counters, that at least one tick consolidated units from
+    two or more sessions into one propagation.
 
     Per-thread scripts are precomputed from one LCG seed before the
     threads start, so thread interleaving is the only nondeterminism —
@@ -256,7 +256,7 @@ let run_strategy ~strategy ~seed =
     (st.Scheduler.multi_session_ticks >= 1);
   check (name ^ ": failed units rolled back") (st.Scheduler.units_failed >= 1);
   check (name ^ ": queue drained") (st.Scheduler.queue_depth = 0);
-  (* the live side must satisfy the IVM invariant on its own engine *)
+  (* the live side must satisfy the IVM invariant on its own *)
   List.iter
     (fun v ->
        check
@@ -264,12 +264,11 @@ let run_strategy ~strategy ~seed =
          (Runner.visible_rows v = Runner.recompute_rows v))
     ext.Runner.ext_views;
   (* sequential replay oracle: the journal is the serial history the
-     ticks chose; replayed single-session on the row engine it must
-     reproduce the exact same base table and view contents *)
+     ticks chose; replayed single-session it must reproduce the exact
+     same base table and view contents *)
   let journal = Scheduler.journal sched in
   check (name ^ ": journal non-empty") (journal <> []);
   let odb = Database.create () in
-  odb.Database.exec_engine <- Exec.Row;
   ignore (Database.exec odb sales_ddl);
   ignore (Database.exec odb sales_seed);
   let oracle_views =

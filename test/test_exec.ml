@@ -8,6 +8,14 @@ let base_db () =
       "CREATE TABLE u(k VARCHAR, w INTEGER)";
       "INSERT INTO u VALUES ('a', 10), ('b', 20), ('d', 40), ('a', 11)" ]
 
+(* NULL-heavy int columns: k has a NULL group, v is NULL on every third
+   row, f mixes sign and magnitude *)
+let null_heavy =
+  [ "CREATE TABLE t (k INTEGER, v INTEGER, f FLOAT)";
+    "INSERT INTO t VALUES (1, 10, 1.5), (1, NULL, 2.5), (2, 20, NULL), \
+     (NULL, 30, 0.5), (2, NULL, 3.5), (NULL, NULL, NULL), (3, 40, 4.0), \
+     (1, 50, 0.0)" ]
+
 let suite =
   [ Util.tc "projection with expressions" (fun () ->
         let db = base_db () in
@@ -62,6 +70,26 @@ let suite =
         let db = base_db () in
         Util.check_rows db "SELECT COUNT(*), SUM(v) FROM t WHERE v > 100"
           [ "(0, NULL)" ]);
+    Util.tc "NULL-heavy grouped aggregates skip NULL inputs" (fun () ->
+        let db = Util.db_with null_heavy in
+        Util.check_rows db
+          "SELECT k, COUNT(*), COUNT(v), SUM(v), MIN(v), MAX(v), AVG(v) \
+           FROM t GROUP BY k"
+          [ "(1, 3, 2, 60, 10, 50, 30.0)"; "(2, 2, 1, 20, 20, 20, 20.0)";
+            "(3, 1, 1, 40, 40, 40, 40.0)";
+            "(NULL, 2, 1, 30, 30, 30, 30.0)" ]);
+    Util.tc "CASE and COALESCE over NULL inputs" (fun () ->
+        (* constant-true, constant-false and row-dependent guards; a NULL
+           guard falls through to ELSE *)
+        let db = Util.db_with null_heavy in
+        Util.check_rows db
+          "SELECT CASE WHEN 1 = 1 THEN v ELSE -1 END, CASE WHEN 1 = 0 THEN \
+           v ELSE -1 END, CASE WHEN v > 20 THEN v ELSE k END, COALESCE(v, \
+           k, -7), COALESCE(v, NULL, -7) FROM t"
+          [ "(10, -1, 1, 10, 10)"; "(NULL, -1, 1, 1, -7)";
+            "(20, -1, 2, 20, 20)"; "(30, -1, 30, 30, 30)";
+            "(NULL, -1, 2, 2, -7)"; "(NULL, -1, NULL, -7, -7)";
+            "(40, -1, 40, 40, 40)"; "(50, -1, 50, 50, 50)" ]);
     Util.tc "min/max" (fun () ->
         let db = base_db () in
         Util.check_rows db "SELECT MIN(v), MAX(v), MIN(k), MAX(k) FROM t"
@@ -122,6 +150,33 @@ let suite =
               "CREATE TABLE r(x INTEGER)"; "INSERT INTO r VALUES (NULL), (1)" ]
         in
         Util.check_rows db "SELECT l.x FROM l JOIN r ON l.x = r.x" [ "(1)" ]);
+    Util.tc "null-safe equality joins NULL keys" (fun () ->
+        (* the IVM combine's [a = b OR (a IS NULL AND b IS NULL)] form *)
+        let db =
+          Util.db_with
+            (null_heavy
+            @ [ "CREATE TABLE u (k INTEGER, w INTEGER)";
+                "INSERT INTO u VALUES (1, 100), (NULL, 300)" ])
+        in
+        Util.check_rows db
+          "SELECT t.k, u.w FROM t JOIN u ON t.k = u.k OR (t.k IS NULL AND \
+           u.k IS NULL)"
+          [ "(1, 100)"; "(1, 100)"; "(1, 100)"; "(NULL, 300)";
+            "(NULL, 300)" ]);
+    Util.tc "full outer join padding under COALESCE and CASE" (fun () ->
+        let db =
+          Util.db_with
+            (null_heavy
+            @ [ "CREATE TABLE u (k INTEGER, w INTEGER)";
+                "INSERT INTO u VALUES (1, 100), (9, 900)" ])
+        in
+        Util.check_rows db
+          "SELECT t.k, u.k, COALESCE(t.v, 0) + COALESCE(u.w, 0), CASE WHEN \
+           u.k IS NULL THEN t.v ELSE u.w END FROM t FULL OUTER JOIN u ON \
+           t.k = u.k WHERE t.k IS NOT NULL OR u.k IS NOT NULL"
+          [ "(1, 1, 110, 100)"; "(1, 1, 100, 100)"; "(1, 1, 150, 100)";
+            "(2, NULL, 20, 20)"; "(2, NULL, 0, NULL)"; "(3, NULL, 40, 40)";
+            "(NULL, 9, 900, 900)" ]);
     Util.tc "cross join" (fun () ->
         let db = base_db () in
         Util.check_scalar db "SELECT COUNT(*) FROM t CROSS JOIN u" "20");
@@ -185,6 +240,29 @@ let suite =
         Util.check_rows db
           "SELECT k FROM t WHERE k NOT IN (SELECT k FROM u WHERE w > 5)"
           [ "(c)" ]);
+    Util.tc "INSERT..SELECT widens int columns into FLOAT" (fun () ->
+        (* a bare column list reads rows straight from the source; the
+           WHERE sends the second insert through the executor *)
+        let db =
+          Util.db_with
+            (null_heavy
+            @ [ "CREATE TABLE dst (k FLOAT, v INTEGER, f FLOAT)";
+                "INSERT INTO dst (k, v, f) SELECT k, v, f FROM t";
+                "INSERT INTO dst SELECT k, v, f FROM t WHERE k = 3" ])
+        in
+        Util.check_rows db "SELECT * FROM dst"
+          [ "(1.0, 10, 1.5)"; "(1.0, NULL, 2.5)"; "(2.0, 20, NULL)";
+            "(NULL, 30, 0.5)"; "(2.0, NULL, 3.5)"; "(NULL, NULL, NULL)";
+            "(3.0, 40, 4.0)"; "(1.0, 50, 0.0)"; "(3.0, 40, 4.0)" ]);
+    Util.tc "INSERT..SELECT enforces NOT NULL" (fun () ->
+        let db =
+          Util.db_with (null_heavy @ [ "CREATE TABLE dst (v INTEGER NOT NULL)" ])
+        in
+        (match Database.exec db "INSERT INTO dst SELECT v FROM t" with
+         | exception Error.Sql_error _ -> ()
+         | _ -> Alcotest.fail "expected NOT NULL violation");
+        Util.check_scalar db ~msg:"no row of the failed insert landed"
+          "SELECT COUNT(*) FROM dst" "0");
     Util.tc "select without from" (fun () ->
         let db = Database.create () in
         Util.check_rows db "SELECT 1 + 2 AS x, 'hi' AS s" [ "(3, hi)" ]);

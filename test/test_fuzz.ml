@@ -50,10 +50,12 @@ let test_of_string_rejects () =
   bad "SELECT 1\n";
   bad "-- schema:\nCREATE TABLE t(a INTEGER)\n-- seed: x\n-- queries:\nSELECT a FROM t\n";
   (* a multi-statement view section is a cascade stack, not an error;
-     the retired [-- domains:] header of older reproducers is a comment *)
+     the retired [-- domains:] and [-- engines:] headers of older
+     reproducers are comments *)
   match
     F.Case.of_string
-      "-- domains: 2\n-- schema:\nCREATE TABLE t(a INTEGER)\n-- view:\nCREATE \
+      "-- domains: 2\n-- engines: vector,row\n-- schema:\nCREATE TABLE \
+       t(a INTEGER)\n-- view:\nCREATE \
        MATERIALIZED VIEW v AS SELECT a FROM t\nCREATE MATERIALIZED VIEW w AS \
        SELECT a FROM v\n"
   with

@@ -254,7 +254,12 @@ let test_ddl_refused_in_txn () =
 let test_wire_roundtrip () =
   let reqs =
     [ Wire.Hello "acme"; Wire.Sql "SELECT 1;\nSELECT 2"; Wire.Begin;
-      Wire.Commit; Wire.Rollback; Wire.Ping; Wire.Quit ]
+      Wire.Commit; Wire.Rollback; Wire.Ping; Wire.Quit;
+      (* blanks at either end are payload, not framing *)
+      Wire.Hello "acme "; Wire.Hello " acme"; Wire.Sql " SELECT 1 ";
+      (* a payload carriage return is escaped, so it survives the
+         CRLF allowance *)
+      Wire.Sql "SELECT 1\r" ]
   in
   List.iter
     (fun req ->
@@ -263,6 +268,9 @@ let test_wire_roundtrip () =
         Alcotest.(check bool) "request roundtrip" true (got = req)
       | Error msg -> Alcotest.failf "parse_request failed: %s" msg)
     reqs;
+  (match Wire.parse_request "PING\r" with
+   | Ok Wire.Ping -> ()
+   | _ -> Alcotest.fail "a CRLF-terminated PING must parse");
   let resps =
     [ Wire.Session 7; Wire.Ok_affected 3; Wire.Queued 2; Wire.Msg "COMMIT";
       Wire.Rows { cols = [ "k"; "total" ]; rows = [ "(a, 5)"; "(b,\n7)" ] };

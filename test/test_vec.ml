@@ -37,6 +37,14 @@ let suite =
         Vec.clear v;
         Alcotest.(check int) "empty" 0 (Vec.length v);
         Alcotest.(check int) "new slot" 0 (Vec.push v 5));
+    Util.tc "push into a zero-capacity vec terminates and grows" (fun () ->
+        (* regression: ensure_capacity looped forever doubling 0 *)
+        let v = Vec.create ~capacity:0 ~dummy:(-1) () in
+        for i = 0 to 99 do
+          ignore (Vec.push v i)
+        done;
+        Alcotest.(check int) "len" 100 (Vec.length v);
+        Alcotest.(check int) "last" 99 (Vec.get v 99));
     Util.tc "fold and to_list agree" (fun () ->
         let v = Vec.of_list ~dummy:0 [ 1; 2; 3 ] in
         Alcotest.(check (list int)) "to_list" [ 1; 2; 3 ] (Vec.to_list v);
