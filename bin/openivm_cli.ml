@@ -892,10 +892,10 @@ let serve_cmd =
           ROLLBACK / PING / QUIT) — $(b,minidb_shell --connect HOST:PORT) \
           is a ready-made client — and an HTTP GET on the same port \
           serves /metrics in Prometheus text format.";
-      `P "Transactions are all-or-nothing: a failed COMMIT restores the \
-          touched tables and delta captures from a snapshot taken when \
-          the unit started, so one session's rollback never disturbs \
-          another session's queued deltas." ]
+      `P "Transactions are all-or-nothing: a failed COMMIT reverts \
+          exactly the rows the unit wrote through the undo journal, so \
+          one session's rollback never disturbs another session's queued \
+          deltas." ]
   in
   Cmd.v
     (Cmd.info "serve" ~doc ~man)

@@ -636,10 +636,20 @@ let refresh_for_query ext (q : Ast.select) =
        then refresh v)
     ext.ext_views
 
+(** {!Database.atomically} plus the views' delta counters: a rolled-back
+    unit also leaves every view's [pending_deltas] where it found it. *)
+let atomically (ext : extension) f =
+  let saved = List.map (fun v -> (v, v.pending_deltas)) ext.ext_views in
+  try Database.atomically ext.ext_db f
+  with e ->
+    let bt = Printexc.get_raw_backtrace () in
+    List.iter (fun (v, n) -> v.pending_deltas <- n) saved;
+    Printexc.raise_with_backtrace e bt
+
 (** Execute a statement with the OpenIVM extension active: the fall-back
     parser path of the paper — [CREATE MATERIALIZED VIEW] is intercepted
-    and compiled; SELECTs over maintained views refresh them first;
-    everything else goes to the engine untouched. *)
+    and compiled; SELECTs over maintained views refresh them first; DML
+    runs all-or-nothing; everything else goes to the engine untouched. *)
 let exec_ext (ext : extension) (sql : string) :
   [ `Result of Database.exec_result | `Installed of view ] =
   match Openivm_sql.Parser.parse_statement sql with
@@ -672,6 +682,10 @@ let exec_ext (ext : extension) (sql : string) :
     let d = Openivm_sql.Diagnostic.cascade_dml_on_view ~view:table () in
     Error.fail "%s: %s" d.Openivm_sql.Diagnostic.code
       d.Openivm_sql.Diagnostic.message
+  | (Ast.Insert _ | Ast.Update _ | Ast.Delete _ | Ast.Truncate _) as stmt ->
+    (* a statement that fails part-way (a duplicate key on its third row)
+       leaves neither rows nor deltas behind *)
+    atomically ext (fun () -> `Result (Database.exec_stmt ext.ext_db stmt))
   | stmt -> `Result (Database.exec_stmt ext.ext_db stmt)
 
 (** One-shot variant when no extension state is at hand. *)

@@ -124,14 +124,21 @@ val refresh_tick : ?only:(view -> bool) -> extension -> int
     tick fold in one consolidated propagation per view. Returns how many
     views actually propagated. *)
 
+val atomically : extension -> (unit -> 'a) -> 'a
+(** {!Database.atomically} on the extension's database that also restores
+    every view's [pending_deltas] when [f] raises. A nested call is a
+    savepoint. *)
+
 val exec_ext :
   extension -> string ->
   [ `Result of Database.exec_result | `Installed of view ]
 (** Execute with the extension active: [CREATE MATERIALIZED VIEW] is
     intercepted and compiled; SELECTs over maintained views refresh them
     first; [DROP TABLE v] on a maintained view uninstalls it; [DROP TABLE]
-    of anything a maintained view reads raises IVM202; everything else
-    passes through. *)
+    of anything a maintained view reads raises IVM202; INSERT, UPDATE,
+    DELETE and TRUNCATE run inside {!atomically}, so a failing statement
+    leaves no rows, deltas or refreshes behind; everything else passes
+    through. *)
 
 val exec :
   ?flags:Flags.t -> Database.t -> string ->

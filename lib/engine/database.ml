@@ -31,6 +31,7 @@ type t = {
      into empty keyed tables are GROUP BY outputs, so their PK-duplicate
      check can be skipped (see Table.insert_many) *)
   mutable bulk_distinct_hint : bool;
+  journal : Table.journal;
 }
 
 type query_result = {
@@ -55,6 +56,7 @@ let create ?(name = "minidb") () = {
   statement_latency = 0.0;
   exec_engine = Exec.Row;
   bulk_distinct_hint = false;
+  journal = Table.create_journal ();
 }
 
 let catalog t = t.catalog
@@ -136,7 +138,8 @@ let create_table t ~table ~columns ~primary_key ~if_not_exists =
            primary_key)
     in
     Catalog.add_table t.catalog
-      (Table.create ~name:table ~schema ~primary_key:pk_positions);
+      (Table.create ~journal:t.journal ~name:table ~schema
+         ~primary_key:pk_positions);
     Ok_msg (Printf.sprintf "created table %s" table)
   end
 
@@ -235,7 +238,25 @@ let rec exec_stmt t (stmt : Sql.Ast.stmt) : exec_result =
   | Sql.Ast.Begin_txn -> Ok_msg "BEGIN"
   | Sql.Ast.Commit_txn -> Ok_msg "COMMIT"
   | Sql.Ast.Rollback_txn ->
-    Error.fail "ROLLBACK is not supported (no transactional undo log)"
+    Error.fail
+      "ROLLBACK is not supported here: each embedded statement commits on \
+       its own (transactions need a server session)"
+
+(* --- units --- *)
+
+let atomically t f =
+  let sp = Table.savepoint t.journal in
+  match f () with
+  | r ->
+    Table.release t.journal sp;
+    r
+  | exception e ->
+    let bt = Printexc.get_raw_backtrace () in
+    Table.rollback_to t.journal sp;
+    (* the failed statement's queued refreshes must not fire later over
+       the reverted state *)
+    Trigger.clear_deferred t.triggers;
+    Printexc.raise_with_backtrace e bt
 
 (* --- string entry points --- *)
 

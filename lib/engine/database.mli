@@ -27,6 +27,8 @@ type t = {
       (** Set while running compiler-generated propagation SQL, whose bulk
           inserts into empty keyed tables are GROUP BY outputs: forwards
           [distinct_keys] to {!Table.insert_many}. *)
+  journal : Table.journal;
+      (** the undo journal every table of this database records into *)
 }
 
 type query_result = {
@@ -58,6 +60,15 @@ val run_select : t -> Sql.Ast.select -> query_result
 val exec_stmt : t -> Sql.Ast.stmt -> exec_result
 val exec : t -> string -> exec_result
 val exec_script : t -> string -> exec_result list
+
+val atomically : t -> (unit -> 'a) -> 'a
+(** Run [f] as one all-or-nothing unit. If [f] raises, every table
+    mutation it made is reverted through the undo journal (PK and
+    secondary indexes included), deferred trigger callbacks are
+    discarded, and the exception is re-raised. The cost is the size of
+    [f]'s own change, not of the tables it touched. A nested call acts as
+    a savepoint: its failure reverts only what ran inside it. Catalog
+    changes (CREATE/DROP) are not reverted. *)
 
 val query : t -> string -> query_result
 (** Run a SELECT; raises {!Error.Sql_error} if the statement is not one. *)

@@ -65,13 +65,14 @@ let save (db : Database.t) ~(dir : string) : int =
     names;
   List.length names
 
-(* --- in-memory table snapshots (transactional apply / rollback) --- *)
+(* --- in-memory table capture (read only by perfbench) --- *)
 
 type mem = (string * Row.t list) list
 
-(** Capture the current rows of [tables] so a failed multi-table write can
-    be rolled back all-or-nothing. Row arrays are copied: later in-place
-    updates cannot leak into the memo. *)
+(** Copy the current rows of [tables]. No rollback path uses this any
+    more (rollback goes through {!Database.atomically}); perfbench's
+    traced replay still times it standalone as the cost the old
+    whole-table rollback paid per unit. *)
 let capture (db : Database.t) ~(tables : string list) : mem =
   let catalog = Database.catalog db in
   List.map
@@ -79,22 +80,6 @@ let capture (db : Database.t) ~(tables : string list) : mem =
        let tbl = Catalog.find_table catalog name in
        (name, List.map Array.copy (Table.to_rows tbl)))
     tables
-
-(** Restore every captured table to its memoized contents (truncate +
-    reinsert, hooks disabled — rollback must not re-trigger capture).
-    Also discards any deferred trigger callbacks: a rollback means the
-    surrounding statement failed, and its queued refreshes must not fire
-    later over the restored state (ghost deltas). *)
-let restore (db : Database.t) (memo : mem) : unit =
-  let catalog = Database.catalog db in
-  Trigger.clear_deferred (Database.triggers db);
-  Trigger.without_hooks (Database.triggers db) (fun () ->
-      List.iter
-        (fun (name, rows) ->
-           let tbl = Catalog.find_table catalog name in
-           ignore (Table.truncate tbl);
-           List.iter (fun row -> Table.insert tbl (Array.copy row)) rows)
-        memo)
 
 (** Load a snapshot into a fresh database. Capture triggers are not
     restored — reinstall materialized views through [Openivm.Runner] to

@@ -12,22 +12,14 @@ val load : dir:string -> Database.t
 (** Load a snapshot into a fresh database (indexes rebuilt). Raises
     {!Error.Sql_error} when the directory holds no snapshot. *)
 
-(** {1 In-memory table snapshots}
+(** {1 In-memory table capture}
 
-    Lightweight capture/restore of a few named tables, used by the HTAP
-    bridge to make a multi-table batch apply all-or-nothing: capture the
-    delta table and replica, apply, and on a mid-batch failure restore
-    both — no partial batch is ever visible. *)
+    Read only by perfbench, whose traced replay times {!capture}
+    standalone: it is the per-unit copy that rollback used to take before
+    the undo journal ({!Database.atomically}) replaced it. No rollback
+    path in the library uses it. *)
 
 type mem
 
 val capture : Database.t -> tables:string list -> mem
 (** Deep-copy the current rows of [tables]. *)
-
-val restore : Database.t -> mem -> unit
-(** Truncate each captured table and reinsert its memoized rows (hooks
-    disabled). Deferred trigger callbacks queued by the failed statement
-    are discarded first — rollback leaves no ghost refreshes behind.
-    Primary-key and ART secondary indexes are rebuilt along the way
-    (truncate resets them, each reinsert re-indexes), so point lookups
-    answer correctly immediately after a mid-batch rollback. *)

@@ -3,7 +3,12 @@
     Rows live in slots of a growable vector; DELETE tombstones a slot so
     indexes (which map encoded keys to slot numbers) stay valid. When more
     than half the slots are dead a compaction rebuilds storage and all
-    indexes. *)
+    indexes.
+
+    Every table of a database shares that database's undo journal. While a
+    unit is open on it, each mutation first records how to revert itself,
+    so rolling a unit back costs the size of its own change, not of the
+    tables it touched. *)
 
 type index = {
   index_name : string;
@@ -17,7 +22,7 @@ type t = {
   name : string;
   schema : Schema.t;
   primary_key : int array;  (** column positions; empty = no PK *)
-  slots : Row.t option Vec.t;
+  mutable slots : Row.t option Vec.t;
   mutable live : int;
   mutable pk_index : int Art.t option;
   mutable pk_stale : bool;
@@ -25,13 +30,40 @@ type t = {
           lags the slots and must be rebuilt (one sorted bulk pass) before
           any PK read — see {!ensure_pk} *)
   mutable secondary : index list;
+  journal : journal;
 }
 
-let create ~name ~(schema : Schema.t) ~primary_key =
+and journal = {
+  mutable undo : undo list;  (** newest first *)
+  mutable depth : int;  (** open units, savepoints included; 0 = off *)
+  mutable compact_later : t list;
+      (** compaction renumbers the slots the records name, so it waits
+          for the outermost unit to end *)
+}
+
+(* Each record reverts one mutation. Rollback pops them newest first, so
+   a record always meets the table exactly as its mutation left it. *)
+and undo =
+  | Grown of t * int  (** the slots from this length on were appended *)
+  | Deleted of t * int * Row.t  (** the slot was tombstoned; its row *)
+  | Overwritten of t * int * Row.t  (** the slot's row before an upsert *)
+  | Truncated of t * storage  (** storage and indexes, kept, not copied *)
+
+and storage = {
+  old_slots : Row.t option Vec.t;
+  old_live : int;
+  old_pk : int Art.t option;
+  old_pk_stale : bool;
+  old_arts : (index * int list Art.t) list;
+}
+
+let create_journal () = { undo = []; depth = 0; compact_later = [] }
+
+let create ~journal ~name ~(schema : Schema.t) ~primary_key =
   let pk_index = if Array.length primary_key = 0 then None else Some (Art.create ()) in
   { name; schema; primary_key;
     slots = Vec.create ~dummy:None ();
-    live = 0; pk_index; pk_stale = false; secondary = [] }
+    live = 0; pk_index; pk_stale = false; secondary = []; journal }
 
 let arity t = Schema.arity t.schema
 let row_count t = t.live
@@ -66,12 +98,30 @@ let index_add_row (ix : index) slot row =
   let key = key_of_row ix.key_positions row in
   Art.insert_with ix.art ~combine:(fun old fresh -> fresh @ old) key [ slot ]
 
+(* re-add a slot that was taken out, at its place in the newest-first
+   list, so lookups return rows in the order they did before *)
+let index_restore_row (ix : index) slot row =
+  let key = key_of_row ix.key_positions row in
+  let rec place = function
+    | s :: rest when s > slot -> s :: place rest
+    | l -> slot :: l
+  in
+  match Art.find ix.art key with
+  | None -> Art.insert ix.art key [ slot ]
+  | Some slots -> Art.insert ix.art key (place slots)
+
 let index_remove_row (ix : index) slot row =
   let key = key_of_row ix.key_positions row in
   match Art.find ix.art key with
   | None -> ()
   | Some slots ->
-    let remaining = List.filter (fun s -> s <> slot) slots in
+    (* the newest slot comes first, so reverting an append of many rows
+       under one key stays linear *)
+    let remaining =
+      match slots with
+      | s :: rest when s = slot -> rest
+      | _ -> List.filter (fun s -> s <> slot) slots
+    in
     if remaining = [] then ignore (Art.remove ix.art key)
     else Art.insert ix.art key remaining
 
@@ -142,7 +192,80 @@ let compact t =
 
 let maybe_compact t =
   let total = Vec.length t.slots in
-  if total > 64 && t.live * 2 < total then compact t
+  if total > 64 && t.live * 2 < total then begin
+    let j = t.journal in
+    if j.depth = 0 then compact t
+    else if not (List.memq t j.compact_later) then
+      j.compact_later <- t :: j.compact_later
+  end
+
+(* --- the undo journal --- *)
+
+let journaling t = t.journal.depth > 0
+let log t r = t.journal.undo <- r :: t.journal.undo
+
+type savepoint = undo list
+
+let savepoint j =
+  j.depth <- j.depth + 1;
+  j.undo
+
+let end_unit j =
+  j.depth <- j.depth - 1;
+  if j.depth = 0 then begin
+    j.undo <- [];
+    let due = j.compact_later in
+    j.compact_later <- [];
+    List.iter maybe_compact due
+  end
+
+let release j (_ : savepoint) = end_unit j
+
+(* A fresh PK index is kept in step with the slots a revert restores or
+   removes. A stale one is left stale: the next PK reader rebuilds it from
+   the restored slots ({!ensure_pk}). *)
+let revert = function
+  | Grown (t, len) ->
+    for slot = Vec.length t.slots - 1 downto len do
+      match Vec.get t.slots slot with
+      | None -> ()
+      | Some row ->
+        t.live <- t.live - 1;
+        (match t.pk_index with
+         | Some pk when not t.pk_stale -> ignore (Art.remove pk (pk_key t row))
+         | _ -> ());
+        List.iter (fun ix -> index_remove_row ix slot row) t.secondary
+    done;
+    Vec.truncate t.slots len
+  | Deleted (t, slot, row) ->
+    Vec.set t.slots slot (Some row);
+    t.live <- t.live + 1;
+    (match t.pk_index with
+     | Some pk when not t.pk_stale -> Art.insert pk (pk_key t row) slot
+     | _ -> ());
+    List.iter (fun ix -> index_restore_row ix slot row) t.secondary
+  | Overwritten (t, slot, old) ->
+    (match Vec.get t.slots slot with
+     | Some cur -> List.iter (fun ix -> index_remove_row ix slot cur) t.secondary
+     | None -> ());
+    Vec.set t.slots slot (Some old);
+    List.iter (fun ix -> index_restore_row ix slot old) t.secondary
+  | Truncated (t, s) ->
+    t.slots <- s.old_slots;
+    t.live <- s.old_live;
+    t.pk_index <- s.old_pk;
+    t.pk_stale <- s.old_pk_stale;
+    List.iter (fun (ix, art) -> ix.art <- art) s.old_arts
+
+let rollback_to j (sp : savepoint) =
+  while j.undo != sp do
+    match j.undo with
+    | r :: rest ->
+      j.undo <- rest;
+      revert r
+    | [] -> invalid_arg "Table.rollback_to: savepoint not in this journal"
+  done;
+  end_unit j
 
 (* --- mutations --- *)
 
@@ -151,8 +274,8 @@ let check_arity t (row : Row.t) =
     Error.fail "table %S expects %d columns, got %d" t.name (arity t)
       (Array.length row)
 
-(** Plain append; raises on PK violation. *)
-let insert t (row : Row.t) : unit =
+(* plain append without an undo record: callers log one [Grown] first *)
+let insert_at t (row : Row.t) : unit =
   check_arity t row;
   ensure_pk t;
   let pk_entry =
@@ -172,6 +295,13 @@ let insert t (row : Row.t) : unit =
    | None -> ());
   List.iter (fun ix -> index_add_row ix slot row) t.secondary
 
+let log_growth t = if journaling t then log t (Grown (t, Vec.length t.slots))
+
+(** Plain append; raises on PK violation. *)
+let insert t (row : Row.t) : unit =
+  log_growth t;
+  insert_at t row
+
 (** Bulk append. Semantically [List.iter (insert t)] — rows preceding a
     duplicate stay inserted and the duplicate raises — but into an empty
     keyed table the ART is not maintained per row: keys are duplicate-checked
@@ -190,6 +320,7 @@ let insert_many ?(distinct_keys = false) t (rows : Row.t list) : unit =
   match t.pk_index with
   | Some _ when t.live = 0 && rows <> [] ->
     ensure_pk t;
+    log_growth t;
     t.pk_stale <- true;
     if distinct_keys then
       List.iter
@@ -216,7 +347,9 @@ let insert_many ?(distinct_keys = false) t (rows : Row.t list) : unit =
            List.iter (fun ix -> index_add_row ix slot row) t.secondary)
         rows
     end
-  | _ -> List.iter (insert t) rows
+  | _ ->
+    log_growth t;
+    List.iter (insert_at t) rows
 
 (** Result of an upsert, so triggers can report the net change. *)
 type upsert_outcome =
@@ -235,6 +368,7 @@ let upsert t (row : Row.t) : upsert_outcome =
      | Some slot ->
        (match Vec.get t.slots slot with
         | Some old ->
+          if journaling t then log t (Overwritten (t, slot, old));
           List.iter (fun ix -> index_remove_row ix slot old) t.secondary;
           Vec.set t.slots slot (Some row);
           List.iter (fun ix -> index_add_row ix slot row) t.secondary;
@@ -263,6 +397,7 @@ let delete_slot t slot : Row.t option =
   match Vec.get t.slots slot with
   | None -> None
   | Some row ->
+    if journaling t then log t (Deleted (t, slot, row));
     Vec.set t.slots slot None;
     t.live <- t.live - 1;
     (match t.pk_index with
@@ -301,7 +436,16 @@ let update_where t (predicate : Row.t -> bool) (transform : Row.t -> Row.t) :
 
 let truncate t : int =
   let n = t.live in
-  Vec.clear t.slots;
+  if journaling t then begin
+    log t
+      (Truncated
+         ( t,
+           { old_slots = t.slots; old_live = t.live; old_pk = t.pk_index;
+             old_pk_stale = t.pk_stale;
+             old_arts = List.map (fun ix -> (ix, ix.art)) t.secondary } ));
+    t.slots <- Vec.create ~dummy:None ()
+  end
+  else Vec.clear t.slots;
   t.pk_stale <- false;
   (match t.pk_index with Some _ -> t.pk_index <- Some (Art.create ()) | None -> ());
   List.iter (fun ix -> ix.art <- Art.create ()) t.secondary;

@@ -1,7 +1,14 @@
 (** Heap table storage: rows in tombstoned slots of a growable vector, an
     optional ART primary-key index mapping encoded keys to slots, and
     secondary ART indexes. Compaction rebuilds storage and indexes when
-    more than half the slots are dead. *)
+    more than half the slots are dead.
+
+    The tables of one database share its undo {!journal}: while a unit is
+    open, every mutation records how to revert itself, and rolling back
+    replays those records newest first, indexes included. *)
+
+type journal
+(** Owned by a {!Database.t}; every table it creates shares it. *)
 
 type index = {
   index_name : string;
@@ -14,16 +21,19 @@ type t = {
   name : string;
   schema : Schema.t;
   primary_key : int array;  (** column positions; empty = no PK *)
-  slots : Row.t option Vec.t;
+  mutable slots : Row.t option Vec.t;
+      (** replaced, not cleared, by a {!truncate} inside a unit *)
   mutable live : int;
   mutable pk_index : int Art.t option;
   mutable pk_stale : bool;
       (** set by bulk appends ({!insert_many}); [pk_index] lags the slots
           and is rebuilt in one sorted bulk pass before the next PK read *)
   mutable secondary : index list;
+  journal : journal;
 }
 
-val create : name:string -> schema:Schema.t -> primary_key:int array -> t
+val create :
+  journal:journal -> name:string -> schema:Schema.t -> primary_key:int array -> t
 
 val arity : t -> int
 val row_count : t -> int
@@ -41,7 +51,36 @@ val create_index :
   t -> index_name:string -> key_positions:int array -> unique:bool -> index
 val drop_index : t -> index_name:string -> unit
 
-val compact : t -> unit
+(** {1 The undo journal}
+
+    A unit is opened by {!savepoint} and ended by exactly one of
+    {!release} or {!rollback_to}. Units nest: an inner rollback reverts
+    only what ran since its own savepoint, and an inner release keeps its
+    records for the outer unit. While any unit is open, mutations record:
+    - {!insert}, {!insert_many}: the slots appended;
+    - {!delete_slot} (and so {!delete_where}, {!update_where}): the slot
+      and its row;
+    - {!upsert}: the slot and the row it overwrote;
+    - {!truncate}: the old storage and index objects, kept, not copied.
+
+    Compaction renumbers slots, so it waits until the outermost unit
+    ends. Catalog changes (tables and indexes created or dropped) are not
+    recorded. *)
+
+type savepoint
+
+val create_journal : unit -> journal
+
+val savepoint : journal -> savepoint
+(** Open a unit. *)
+
+val release : journal -> savepoint -> unit
+(** Keep the unit's changes. Ending the outermost unit drops the records
+    and runs any compaction that waited. *)
+
+val rollback_to : journal -> savepoint -> unit
+(** Revert every mutation since [savepoint] and end the unit. Primary-key
+    and secondary indexes are reverted with the rows. *)
 
 val insert : t -> Row.t -> unit
 (** Raises {!Error.Sql_error} on arity mismatch or PK violation. *)

@@ -49,6 +49,14 @@ let civil_from_days z =
   let year = if month <= 2 then y + 1 else y in
   (year, month, day)
 
+let days_in_month ~year ~month =
+  match month with
+  | 2 ->
+    if (year mod 4 = 0 && year mod 100 <> 0) || year mod 400 = 0 then 29
+    else 28
+  | 4 | 6 | 9 | 11 -> 30
+  | _ -> 31
+
 let date_of_string s =
   match String.split_on_char '-' s with
   | [ y; m; d ] ->
@@ -56,8 +64,9 @@ let date_of_string s =
        let year = int_of_string y
        and month = int_of_string m
        and day = int_of_string d in
-       if month < 1 || month > 12 || day < 1 || day > 31 then
-         Error.fail "invalid date %S" s
+       if month < 1 || month > 12 || day < 1
+          || day > days_in_month ~year ~month
+       then Error.fail "invalid date %S" s
        else Date (days_from_civil ~year ~month ~day)
      with Failure _ -> Error.fail "invalid date %S" s)
   | _ -> Error.fail "invalid date %S (expected YYYY-MM-DD)" s

@@ -42,6 +42,11 @@ let clear t =
   Array.fill t.data 0 t.len t.dummy;
   t.len <- 0
 
+let truncate t n =
+  if n < 0 || n > t.len then invalid_arg "Vec.truncate: length out of bounds";
+  Array.fill t.data n (t.len - n) t.dummy;
+  t.len <- n
+
 let iter f t =
   for i = 0 to t.len - 1 do
     f t.data.(i)

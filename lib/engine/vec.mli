@@ -14,6 +14,11 @@ val push : 'a t -> 'a -> int
 (** Returns the new element's slot. *)
 
 val clear : 'a t -> unit
+
+val truncate : 'a t -> int -> unit
+(** [truncate v n] drops every element from slot [n] on; [n] must not
+    exceed the length. *)
+
 val iter : ('a -> unit) -> 'a t -> unit
 val iteri : (int -> 'a -> unit) -> 'a t -> unit
 val fold : ('acc -> 'a -> 'acc) -> 'acc -> 'a t -> 'acc

@@ -64,7 +64,8 @@ let register_capture t ~(base : string) ~(delta : string) : unit =
       @ [ Schema.column ~table:delta t.multiplicity_column Openivm_sql.Ast.T_bool ]
     in
     Catalog.add_table catalog
-      (Table.create ~name:delta ~schema:delta_schema ~primary_key:[||])
+      (Table.create ~journal:t.db.Database.journal ~name:delta
+         ~schema:delta_schema ~primary_key:[||])
   end;
   let cap = { base; delta; rows_captured = 0; next_seq = 1; inflight = None } in
   t.captures <- cap :: t.captures;

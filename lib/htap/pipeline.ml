@@ -13,7 +13,7 @@
     OLAP side records per-source watermarks in
     [_openivm_bridge_watermarks] so duplicated or replayed batches are
     no-ops, each batch lands in the delta table and replica all-or-nothing
-    (in-memory snapshot rollback on a mid-apply crash), and dropped
+    (undo-journal rollback on a mid-apply crash), and dropped
     batches are retried with exponential backoff. {!recover} replays
     unacknowledged traffic after a simulated OLAP crash, falling back to a
     full resync from the base tables. *)
@@ -192,37 +192,39 @@ let apply_to_replica t ~(base : string) (delta_row : Row.t) : unit =
 
 (** Land a verified, in-order batch: every row into the OLAP delta table
     (and replica), then advance the watermark and acknowledge to the OLTP
-    outbox. All-or-nothing — an injected mid-apply crash restores the
-    snapshot of both tables, leaves the watermark untouched and marks the
-    OLAP side down; the batch stays in the outbox for {!recover}. *)
+    outbox. All-or-nothing — the rows and the watermark land in one
+    {!Database.atomically} unit, so an injected mid-apply crash reverts
+    what the batch wrote so far, leaves the watermark untouched and marks
+    the OLAP side down; the batch stays in the outbox for {!recover}. *)
 let apply_batch t ~(source : string) ~(seq : int) (rows : Row.t list) : unit =
   let catalog = Database.catalog t.olap in
   let delta_name =
     Openivm.Compiler.delta_table t.view.Openivm.Runner.compiled source
   in
   let delta_tbl = Catalog.find_table catalog delta_name in
-  let guarded = delta_name :: (if t.needs_replica then [ source ] else []) in
-  let memo = Snapshot.capture t.olap ~tables:guarded in
   let n = List.length rows in
   let crash_at =
     if Fault.roll (Bridge.faults t.bridge) Fault.Crash then
       Some (Fault.draw (Bridge.faults t.bridge) (n + 1))
     else None
   in
-  try
-    List.iteri
-      (fun i row ->
-         if crash_at = Some i then raise Olap_crash;
-         Table.insert delta_tbl row;
-         if t.needs_replica then apply_to_replica t ~base:source row)
-      rows;
-    if crash_at = Some n then raise Olap_crash;
-    set_watermark t source seq;
+  match
+    Database.atomically t.olap (fun () ->
+        List.iteri
+          (fun i row ->
+             if crash_at = Some i then raise Olap_crash;
+             Table.insert delta_tbl row;
+             if t.needs_replica then apply_to_replica t ~base:source row)
+          rows;
+        if crash_at = Some n then raise Olap_crash;
+        set_watermark t source seq)
+  with
+  | () ->
     t.view.Openivm.Runner.pending_deltas <-
       t.view.Openivm.Runner.pending_deltas + n;
-    (* durability hook between watermark and ack: if journaling dies here
-       the batch stays in the outbox, and on redelivery the recovered
-       watermark (advanced iff the journal record survived) dedupes it *)
+    (* durability hook between watermark and ack: if WAL journaling dies
+       here the batch stays in the outbox, and on redelivery the recovered
+       watermark (advanced iff the WAL record survived) dedupes it *)
     (match t.on_apply with
      | Some f -> f ~source ~seq ~replica:t.needs_replica rows
      | None -> ());
@@ -231,8 +233,7 @@ let apply_batch t ~(source : string) ~(seq : int) (rows : Row.t list) : unit =
     t.stats.rows_applied <- t.stats.rows_applied + n;
     Metrics.incr m_batches_applied;
     Metrics.add m_rows_applied n
-  with Olap_crash ->
-    Snapshot.restore t.olap memo;
+  | exception Olap_crash ->
     t.crashed <- true;
     t.stats.crashes <- t.stats.crashes + 1
 
@@ -475,7 +476,8 @@ let query_without_ivm t : Database.query_result =
          List.map (fun c -> { c with Schema.table = Some base }) tbl.Table.schema
        in
        Catalog.add_table (Database.catalog scratch)
-         (Table.create ~name:base ~schema ~primary_key:[||]);
+         (Table.create ~journal:scratch.Database.journal ~name:base ~schema
+            ~primary_key:[||]);
        let shipped = Bridge.ship t.bridge (Table.to_rows tbl) in
        let dst = Catalog.find_table (Database.catalog scratch) base in
        List.iter (Table.insert dst) shipped)

@@ -14,7 +14,7 @@
                                     v
                      watermark check (_openivm_bridge_watermarks):
                        seq <= wm  -> duplicate, drop + re-ack
-                       seq  = wm+1 -> apply under Snapshot (all-or-nothing)
+                       seq  = wm+1 -> apply atomically (all-or-nothing)
                                     |        then advance wm, Oltp.ack
                                     v        (ack empties the outbox)
                               OLAP delta_T tables --+--> replicas (joins/minmax)
@@ -40,12 +40,12 @@
     exactly-once regardless: batches carry a per-source sequence number
     and checksum; the outbox keeps rows until acknowledged, so resending
     is always possible; the per-source watermark makes re-applying always
-    safe. A mid-apply crash rolls the batch back via an in-memory
-    snapshot, leaving the pipeline [crashed] until [Pipeline.recover]
-    climbs the ladder: replay unacknowledged outbox batches over a
-    fault-suppressed link, verify the view against a full recompute, and
-    fall back to a full resync from the base tables if verification
-    fails. [recover] reports whether the system converged. See
+    safe. A mid-apply crash rolls the batch back through the OLAP
+    database's undo journal, leaving the pipeline [crashed] until
+    [Pipeline.recover] climbs the ladder: replay unacknowledged outbox
+    batches over a fault-suppressed link, verify the view against a full
+    recompute, and fall back to a full resync from the base tables if
+    verification fails. [recover] reports whether the system converged. See
     [DESIGN.md] section 7 for the protocol in full.
 
     {1 What "cross-system" costs}

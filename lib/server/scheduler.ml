@@ -3,10 +3,10 @@
 
     - [t.lock] guards everything: the queue, the quota, the database and
       the views. Ticks, reads and submissions all run under it.
-    - a unit's snapshot captures the touched base tables {e and} their
-      views' delta tables as they stand when the unit starts — including
-      deltas queued by earlier units of the same tick — so restoring on
-      failure rolls back exactly this unit.
+    - a unit runs inside {!Runner.atomically}: on failure the undo
+      journal reverts exactly the rows this unit wrote (base, delta and
+      any view tables alike), so deltas queued by earlier units of the
+      same tick survive.
     - [refreshed_at] maps a view to the last tick whose deltas it has
       folded; the read path refreshes only views behind the current tick
       counter, which bounds refresh work to once per view per tick. *)
@@ -190,8 +190,18 @@ let read_locked t q =
   refresh_for_read t q;
   Database.run_select t.ext.Runner.ext_db q
 
-let apply_stmt t sql =
+exception Ddl_in_transaction
+
+(* [in_txn]: the statement is one of several in a unit. A DDL statement
+   there is refused before it runs, which fails and rolls back the whole
+   unit, because rollback reverts rows, not catalog changes: a view
+   installed by a unit that later fails would stay registered over
+   reverted tables. *)
+let apply_stmt t ~in_txn sql =
   match Openivm_sql.Parser.parse_statement sql with
+  | (Ast.Create_table _ | Ast.Create_view _ | Ast.Create_index _ | Ast.Drop _)
+    when in_txn ->
+      raise Ddl_in_transaction
   | Ast.Create_view { materialized = true; _ } -> `Installed (install_view t sql)
   | Ast.Select_stmt q -> `Result (Database.Rows (read_locked t q))
   | Ast.Drop { name; _ } when Runner.find_view t.ext name <> None ->
@@ -206,48 +216,6 @@ let apply_stmt t sql =
 (* ------------------------------------------------------------------ *)
 (* Units and rollback                                                  *)
 
-let unit_touched_tables t stmts =
-  let tables = Hashtbl.create 8 in
-  let note name = Hashtbl.replace tables name () in
-  List.iter
-    (fun sql ->
-      match (try Some (Openivm_sql.Parser.parse_statement sql) with _ -> None) with
-      | Some
-          ( Ast.Insert { table; _ } | Ast.Update { table; _ }
-          | Ast.Delete { table; _ } | Ast.Truncate table ) ->
-          note table
-      | _ -> ())
-    stmts;
-  let db = t.ext.Runner.ext_db in
-  let bases =
-    Hashtbl.fold
-      (fun name () acc ->
-        if Catalog.find_table_opt db.Database.catalog name <> None then
-          name :: acc
-        else acc)
-      tables []
-  in
-  (* Capture hooks write into every dependent view's delta table: those
-     roll back with the base rows, or a failed unit would leave ghost
-     deltas (or eat captured ones on restore). *)
-  let deltas =
-    List.concat_map
-      (fun v ->
-        let c = v.Runner.compiled in
-        List.filter_map
-          (fun b ->
-            if List.mem b (Compiler.base_tables c) then begin
-              let d = Compiler.delta_table c b in
-              if Catalog.find_table_opt db.Database.catalog d <> None then
-                Some (d, v)
-              else None
-            end
-            else None)
-          bases)
-      t.ext.Runner.ext_views
-  in
-  (bases, deltas)
-
 let apply_unit t u =
   Span.with_span "server.apply_unit"
     ~attrs:
@@ -257,46 +225,35 @@ let apply_unit t u =
         ("statements", Span.Int (List.length u.u_stmts));
       ]
     (fun _ ->
-      let db = t.ext.Runner.ext_db in
-      let bases, deltas = unit_touched_tables t u.u_stmts in
-      let capture_tables = bases @ List.map fst deltas in
-      let memo =
-        if capture_tables = [] then None
-        else Some (Snapshot.capture db ~tables:capture_tables)
-      in
-      let pending_saved =
-        List.map (fun (_, v) -> (v, v.Runner.pending_deltas)) deltas
-      in
-      let rollback () =
-        (match memo with None -> () | Some m -> Snapshot.restore db m);
-        List.iter (fun (v, n) -> v.Runner.pending_deltas <- n) pending_saved;
-        t.stat_units_failed <- t.stat_units_failed + 1;
-        Metrics.incr m_rollbacks
-      in
       let fail code message =
-        rollback ();
+        t.stat_units_failed <- t.stat_units_failed + 1;
+        Metrics.incr m_rollbacks;
         Failed { code; message }
       in
-      try
-        let affected = ref 0 and installed = ref [] in
-        List.iter
-          (fun sql ->
-            match apply_stmt t sql with
-            | `Result (Database.Affected n) -> affected := !affected + n
-            | `Result _ -> ()
-            | `Installed v -> installed := Runner.view_name v :: !installed)
-          u.u_stmts;
-        if t.record_journal then
-          t.journal_rev <- List.rev_append u.u_stmts t.journal_rev;
-        t.stat_units_applied <- t.stat_units_applied + 1;
-        Applied { affected = !affected; installed = List.rev !installed }
+      let in_txn = List.compare_length_with u.u_stmts 1 > 0 in
+      match
+        Runner.atomically t.ext (fun () ->
+            List.fold_left
+              (fun (affected, installed) sql ->
+                match apply_stmt t ~in_txn sql with
+                | `Result (Database.Affected n) -> (affected + n, installed)
+                | `Result _ -> (affected, installed)
+                | `Installed v -> (affected, Runner.view_name v :: installed))
+              (0, []) u.u_stmts)
       with
-      | Error.Sql_error msg -> fail "SQL" msg
-      | Openivm_sql.Parser.Error (msg, pos) ->
+      | affected, installed ->
+          if t.record_journal then
+            t.journal_rev <- List.rev_append u.u_stmts t.journal_rev;
+          t.stat_units_applied <- t.stat_units_applied + 1;
+          Applied { affected; installed = List.rev installed }
+      | exception Error.Sql_error msg -> fail "SQL" msg
+      | exception Openivm_sql.Parser.Error (msg, pos) ->
           fail "PARSE" (Printf.sprintf "%s (at %d)" msg pos)
-      | Openivm_sql.Lexer.Error (msg, pos) ->
+      | exception Openivm_sql.Lexer.Error (msg, pos) ->
           fail "LEX" (Printf.sprintf "%s (at %d)" msg pos)
-      | Compiler.Unsupported_view msg -> fail "VIEW" msg)
+      | exception Compiler.Unsupported_view msg -> fail "VIEW" msg
+      | exception Ddl_in_transaction ->
+          fail "TXN" "DDL is not allowed inside a transaction")
 
 (* ------------------------------------------------------------------ *)
 (* Ticks                                                               *)

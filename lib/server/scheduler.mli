@@ -11,11 +11,17 @@
       under one internal mutex — a reader can never observe a
       half-applied tick, and a tick can never interleave with another;
     - a {e unit} (one DML statement, or one committed transaction's
-      statement list) applies all-or-nothing: the touched base tables
-      and their delta tables are captured through {!Openivm_engine.Snapshot}
-      before the unit runs and restored if any statement fails, so a
+      statement list) applies all-or-nothing through
+      {!Openivm.Runner.atomically}: if any statement fails, the undo
+      journal reverts exactly the rows this unit wrote (base, delta and
+      view tables alike) and every view's pending-delta counter, at a
+      cost that follows the unit's own change, not the tables' sizes. A
       failed unit never eats deltas queued by earlier units of the same
-      tick (they are part of the captured image and survive the restore);
+      tick. Each statement is also a savepoint of its own;
+    - a unit of several statements may not contain DDL: on reaching a
+      DDL statement, before it runs, the unit fails with code [TXN] and
+      is rolled back like any failed unit, because rollback reverts
+      rows, not catalog changes;
     - views requested [Eager] refresh once at the end of the tick; lazy
       views refresh on the first read after a tick, and at most once per
       tick even under N concurrent readers (the tick counter gates the

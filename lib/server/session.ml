@@ -103,8 +103,8 @@ let exec t sql =
                 Queued (List.length rev + 1)
             | None -> submit_unit t [ sql ])
         | _ -> (
-            (* DDL: single-statement units only, never buffered — snapshot
-               rollback cannot undo DDL. *)
+            (* DDL: single-statement units only, never buffered — the
+               undo journal reverts rows, not catalog changes. *)
             match t.txn with
             | Some _ ->
                 Failed

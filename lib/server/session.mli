@@ -8,9 +8,10 @@
       waits for its tick;
     - [BEGIN] opens a buffer; DML inside it is queued client-side and
       [COMMIT] submits the whole buffer as one all-or-nothing unit
-      (rolled back via snapshot capture/restore if any statement fails);
-    - DDL (CREATE/DROP) is refused inside a transaction — units mix
-      snapshot-undoable DML only, so rollback is always exact. *)
+      (rolled back through the undo journal if any statement fails);
+    - DDL (CREATE/DROP) is refused inside a transaction — the journal
+      reverts rows, not catalog changes, so units mix DML only and
+      rollback is always exact. *)
 
 type t
 

@@ -27,6 +27,7 @@ let () =
       ("portability", Test_portability.suite);
       ("csv", Test_csv.suite);
       ("snapshot", Test_snapshot.suite);
+      ("rollback", Test_rollback.suite);
       ("tpch", Test_tpch.suite);
       ("obs", Test_obs.suite);
       ("store", Test_store.suite);

@@ -29,6 +29,9 @@ let failures = ref 0
 let checks = ref 0
 let check_lock = Mutex.create ()
 
+(* COMMITs of [Bad_txn] that answered Failed, in the current run *)
+let failed_commits = Atomic.make 0
+
 let check name ok =
   Mutex.lock check_lock;
   incr checks;
@@ -57,11 +60,14 @@ let view_sqls =
 
 (* One session's scripted workload. [Txn] commits as a single
    all-or-nothing unit; [Bad] must fail and roll back without touching
-   anything; [Client_rollback] never reaches the scheduler at all. *)
+   anything; [Bad_txn]'s statements write before its last one fails, so
+   its COMMIT must fail and the rollback has rows and deltas to undo;
+   [Client_rollback] never reaches the scheduler at all. *)
 type action =
   | Dml of string
   | Txn of string list
   | Bad of string
+  | Bad_txn of string list
   | Client_rollback of string list
   | Read of string
 
@@ -74,7 +80,7 @@ let script ~seed ~len =
       (region ()) (r 100) (region ()) (r 100)
   in
   List.init len (fun _ ->
-      match r 12 with
+      match r 13 with
       | 0 | 1 | 2 | 3 -> Dml (ins ())
       | 4 | 5 ->
         Dml
@@ -89,6 +95,13 @@ let script ~seed ~len =
       | 7 -> Txn [ ins (); ins () ]
       | 8 -> Bad "INSERT INTO sales VALUES ('boom')"
       | 9 -> Client_rollback [ ins () ]
+      | 10 ->
+        Bad_txn
+          [ ins ();
+            Printf.sprintf
+              "UPDATE sales SET amount = amount + %d WHERE region = '%s'"
+              (1 + r 9) (region ());
+            "INSERT INTO sales VALUES ('boom')" ]
       | _ -> Read "SELECT region, total, n FROM region_totals")
 
 let run_action ~who sess = function
@@ -121,6 +134,21 @@ let run_action ~who sess = function
     (match Session.exec sess sql with
      | Session.Failed _ -> ()
      | _ -> check (who ^ ": bad unit did not fail") false)
+  | Bad_txn stmts ->
+    (match Session.exec sess "BEGIN" with
+     | Session.Msg _ -> ()
+     | _ -> check (who ^ ": BEGIN refused") false);
+    List.iter
+      (fun sql ->
+         match Session.exec sess sql with
+         | Session.Queued _ -> ()
+         | _ -> check (who ^ ": txn statement not buffered") false)
+      stmts;
+    (match Session.exec sess "COMMIT" with
+     | Session.Failed _ -> Atomic.incr failed_commits
+     | Session.Overloaded r ->
+       check (Printf.sprintf "%s: failing commit overloaded: %s" who r) false
+     | _ -> check (who ^ ": failing transaction committed") false)
   | Client_rollback stmts ->
     ignore (Session.exec sess "BEGIN");
     List.iter (fun sql -> ignore (Session.exec sess sql)) stmts;
@@ -195,6 +223,7 @@ let run_strategy ~strategy ~seed =
   List.iter (expect_install setup) view_sqls;
   Session.close setup;
   Scheduler.set_record_journal sched true;
+  Atomic.set failed_commits 0;
   (* a deterministically consolidated tick: two sessions' units queued
      before anyone awaits, then one tick applies both *)
   let s1 = Session.create sched ~tenant:"prime-a" in
@@ -255,6 +284,8 @@ let run_strategy ~strategy ~seed =
   check (name ^ ": >= 1 tick consolidated >= 2 sessions")
     (st.Scheduler.multi_session_ticks >= 1);
   check (name ^ ": failed units rolled back") (st.Scheduler.units_failed >= 1);
+  check (name ^ ": a transaction that wrote before failing rolled back")
+    (Atomic.get failed_commits >= 1);
   check (name ^ ": queue drained") (st.Scheduler.queue_depth = 0);
   (* the live side must satisfy the IVM invariant on its own *)
   List.iter

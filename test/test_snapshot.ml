@@ -113,11 +113,12 @@ let suite =
         Util.check_view_consistent db v);
     Util.tc "ART secondary indexes answer correctly after mid-batch restore"
       (fun () ->
-         (* the serving layer's rollback path: capture, half-apply a unit
-            that churns indexed keys, restore. Point lookups afterwards go
-            through the ART secondary — a restore that truncated rows but
-            left stale index entries (or dropped fresh ones) answers these
-            queries wrongly even though a full scan would look fine *)
+         (* the serving layer's rollback path: half-apply a unit that
+            churns indexed keys, then fail it so the undo journal reverts
+            it. Point lookups afterwards go through the ART secondary — a
+            rollback that restored rows but left stale index entries (or
+            dropped fresh ones) answers these queries wrongly even though
+            a full scan would look fine *)
          let db =
            Util.db_with
              [ "CREATE TABLE t(id INTEGER PRIMARY KEY, name VARCHAR, v INTEGER)";
@@ -125,11 +126,17 @@ let suite =
                "INSERT INTO t VALUES (1, 'alice', 10), (2, 'bob', 20), (3, \
                 'alice', 30)" ]
          in
-         let memo = Snapshot.capture db ~tables:[ "t" ] in
-         Util.exec db "INSERT INTO t VALUES (4, 'carol', 40), (5, 'alice', 50)";
-         Util.exec db "DELETE FROM t WHERE name = 'bob'";
-         Util.exec db "UPDATE t SET name = 'dave' WHERE id = 1";
-         Snapshot.restore db memo;
+         let exception Abort in
+         (match
+            Database.atomically db (fun () ->
+                Util.exec db
+                  "INSERT INTO t VALUES (4, 'carol', 40), (5, 'alice', 50)";
+                Util.exec db "DELETE FROM t WHERE name = 'bob'";
+                Util.exec db "UPDATE t SET name = 'dave' WHERE id = 1";
+                raise Abort)
+          with
+          | exception Abort -> ()
+          | () -> Alcotest.fail "expected the unit to fail");
          Util.check_rows ~msg:"captured keys still indexed" db
            "SELECT id, v FROM t WHERE name = 'alice'" [ "(1, 10)"; "(3, 30)" ];
          Util.check_rows ~msg:"deleted-then-restored key answers" db
@@ -149,40 +156,54 @@ let suite =
           | exception Error.Sql_error _ -> ()
           | _ -> Alcotest.fail "pk uniqueness lost after restore"));
     Util.tc "restore during a dispatch clears deferred refreshes" (fun () ->
-        (* the HTAP bridge's transactional apply in miniature: snapshot,
-           apply, and on a mid-batch failure restore — any eager refresh
-           deferred by the half-applied statement must vanish with the
-           rollback instead of firing over restored state *)
+        (* a unit rolled back in the middle of a trigger dispatch, after
+           the eager refresh the dispatching statement triggered was
+           deferred: the rollback itself must drop that refresh, so it
+           does not fire over the reverted state once the dispatch
+           returns normally *)
         let db =
           Util.db_with
             [ "CREATE TABLE groups(group_index VARCHAR, group_value INTEGER)";
+              "CREATE TABLE audit(x INTEGER)";
               "INSERT INTO groups VALUES ('a', 1)" ]
         in
         let eager =
           { Openivm.Flags.default with Openivm.Flags.refresh = Openivm.Flags.Eager }
         in
+        let ext = Openivm.Runner.load ~flags:eager db in
         let v =
-          Openivm.Runner.install ~flags:eager db
-            "CREATE MATERIALIZED VIEW qg AS SELECT group_index, \
-             SUM(group_value) AS s FROM groups GROUP BY group_index"
+          match
+            Openivm.Runner.exec_ext ext
+              "CREATE MATERIALIZED VIEW qg AS SELECT group_index, \
+               SUM(group_value) AS s FROM groups GROUP BY group_index"
+          with
+          | `Installed v -> v
+          | `Result _ -> Alcotest.fail "view not installed"
         in
-        let memo =
-          Snapshot.capture db ~tables:[ "groups"; "delta_qg__groups" ]
-        in
+        let exception Abort in
         let saw_deferred = ref (-1) in
+        (* registered after the IVM capture hook, so the eager refresh is
+           already queued when this fires *)
         Trigger.register (Database.triggers db) ~table:"groups"
           ~name:"rollback" (fun _ ->
               saw_deferred :=
                 Trigger.pending_deferred (Database.triggers db);
-              Snapshot.restore db memo);
-        Util.exec db "INSERT INTO groups VALUES ('b', 2)";
+              try
+                Database.atomically db (fun () ->
+                    Util.exec db "INSERT INTO audit VALUES (1)";
+                    raise Abort)
+              with Abort -> ());
+        ignore (Openivm.Runner.exec_ext ext "INSERT INTO groups VALUES ('b', 2)");
         Alcotest.(check int) "the eager refresh had been queued" 1
           !saw_deferred;
         Alcotest.(check int) "rollback dropped it" 0
           v.Openivm.Runner.refresh_count;
         Alcotest.(check int) "queue empty after the dispatch" 0
           (Trigger.pending_deferred (Database.triggers db));
-        Util.check_rows db "SELECT * FROM groups" [ "(a, 1)" ];
+        Util.check_rows ~msg:"the rolled-back unit's row is gone" db
+          "SELECT * FROM audit" [];
+        Util.check_rows ~msg:"the dispatching statement stands" db
+          "SELECT * FROM groups" [ "(a, 1)"; "(b, 2)" ];
         Trigger.unregister (Database.triggers db) ~name:"rollback";
         Openivm.Runner.refresh v;
         Util.check_view_consistent db v);

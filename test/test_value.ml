@@ -35,7 +35,22 @@ let suite =
              match Value.date_of_string s with
              | exception Error.Sql_error _ -> ()
              | _ -> Alcotest.failf "accepted %S" s)
-          [ "2024-13-01"; "2024-00-10"; "nonsense"; "2024-1" ]);
+          [ "2024-13-01"; "2024-00-10"; "nonsense"; "2024-1";
+            (* past the month's end, leap years by the Gregorian rule *)
+            "2020-02-30"; "2021-02-29"; "2021-04-31"; "1900-02-29" ];
+        List.iter
+          (fun s ->
+             match Value.date_of_string s with
+             | Value.Date d -> Alcotest.(check string) s s (Value.date_to_string d)
+             | _ -> Alcotest.failf "rejected %S" s)
+          [ "2020-02-29"; "2000-02-29" ];
+        let db = Util.db_with [] in
+        List.iter
+          (fun sql ->
+             match Database.query db sql with
+             | exception Error.Sql_error _ -> ()
+             | _ -> Alcotest.failf "accepted %S" sql)
+          [ "SELECT DATE '2020-02-30'"; "SELECT CAST('2021-04-31' AS DATE)" ]);
     Util.tc "to_string formats" (fun () ->
         Alcotest.(check string) "null" "NULL" (Value.to_string Value.Null);
         Alcotest.(check string) "bool" "true" (Value.to_string (Value.Bool true));
