@@ -15,8 +15,7 @@
       runs just this part; the `@bench` alias does so at small scale.
 
     Each experiment prints a table of the same series the paper's demo
-    reports; `--micro` additionally runs one Bechamel micro-benchmark per
-    experiment. Absolute numbers reflect the Minidb substrate, but the
+    reports. Absolute numbers reflect the Minidb substrate, but the
     *shapes* (who wins, by what factor, where crossovers fall) are the
     reproduction targets recorded in EXPERIMENTS.md. *)
 
@@ -34,7 +33,6 @@ let rec time_unit ?(best_of = 1) f =
   if best_of <= 1 then dt else Float.min dt (time_unit ~best_of:(best_of - 1) f)
 
 let scale = ref `Medium
-let run_micro = ref false
 
 let sizes () =
   match !scale with
@@ -1053,94 +1051,6 @@ let refresh_bench () =
     exit 1
   end
 
-(* --- Bechamel micro-benchmarks: one Test.make per experiment table --- *)
-
-let micro () =
-  let open Bechamel in
-  let open Toolkit in
-  (* E1 micro: one propagation refresh over a prepared delta *)
-  let e1_test =
-    let db, v =
-      setup_groups_db ~rows:5_000 ~domain:500
-        ~strategy:Openivm.Flags.Upsert_linear
-    in
-    let gen = Datagen.create ~seed:5 () in
-    Test.make ~name:"e1/propagate_100_of_5k"
-      (Staged.stage (fun () ->
-           Datagen.apply_groups_delta db
-             (Datagen.groups_delta_rows ~domain:500 gen ~rows:100);
-           Openivm.Runner.force_refresh v))
-  in
-  let e2_test =
-    let bindings =
-      Array.init 10_000 (fun i -> (Value.encode_key [| Value.Int i |], i))
-    in
-    Test.make ~name:"e2/art_bulk_build_10k"
-      (Staged.stage (fun () -> ignore (Art.of_sorted bindings)))
-  in
-  let e3_test =
-    let p =
-      Openivm_htap.Pipeline.create
-        ~schema_sql:(Datagen.groups_ddl ^ ";")
-        ~view_sql:groups_view_sql ()
-    in
-    let tx = Openivm_htap.Txgen.create ~seed:1 () in
-    Test.make ~name:"e3/cross_system_round_50tx"
-      (Staged.stage (fun () ->
-           List.iter
-             (fun sql -> ignore (Openivm_htap.Pipeline.exec_oltp p sql))
-             (Openivm_htap.Txgen.batch tx 50);
-           ignore (Openivm_htap.Pipeline.query p "SELECT * FROM query_groups")))
-  in
-  let e4_test =
-    let db, v =
-      setup_groups_db ~rows:5_000 ~domain:500
-        ~strategy:Openivm.Flags.Rederive_affected
-    in
-    let gen = Datagen.create ~seed:6 () in
-    Test.make ~name:"e4/rederive_100_of_5k"
-      (Staged.stage (fun () ->
-           Datagen.apply_groups_delta db
-             (Datagen.groups_delta_rows ~domain:500 gen ~rows:100);
-           Openivm.Runner.force_refresh v))
-  in
-  let e5_test =
-    let catalog = e5_catalog () in
-    Test.make ~name:"e5/compile_sum_count_view"
-      (Staged.stage (fun () ->
-           ignore (Openivm.Compiler.compile catalog groups_view_sql)))
-  in
-  let grouped =
-    Test.make_grouped ~name:"openivm"
-      [ e1_test; e2_test; e3_test; e4_test; e5_test ]
-  in
-  let cfg =
-    Benchmark.cfg ~limit:200 ~quota:(Time.second 1.0) ~stabilize:false ()
-  in
-  let raw = Benchmark.all cfg [ Instance.monotonic_clock ] grouped in
-  let ols =
-    Analyze.ols ~r_square:false ~bootstrap:0 ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  let report =
-    Report.create ~title:"Bechamel micro-benchmarks (monotonic clock)"
-      ~headers:[ "benchmark"; "time/run" ]
-  in
-  let rows = ref [] in
-  Hashtbl.iter
-    (fun name est ->
-       let t =
-         match Analyze.OLS.estimates est with
-         | Some (t :: _) -> pp_duration (t *. 1e-9)
-         | _ -> "n/a"
-       in
-       rows := (name, t) :: !rows)
-    results;
-  List.iter
-    (fun (name, t) -> Report.add_row report [ name; t ])
-    (List.sort compare !rows);
-  Report.print report
-
 (* --- driver --- *)
 
 let () =
@@ -1150,7 +1060,6 @@ let () =
     (match argv.(!i) with
      | "--small" -> scale := `Small
      | "--full" -> scale := `Full
-     | "--micro" -> run_micro := true
      | "--refresh-only" -> refresh_only := true
      | "--reps" when !i + 1 < Array.length argv ->
        incr i;
@@ -1160,8 +1069,8 @@ let () =
        refresh_out := argv.(!i)
      | arg ->
        Printf.eprintf
-         "unknown option %s (use --small/--full, --micro, --refresh-only, \
-          --reps N, --out FILE)\n"
+         "unknown option %s (use --small/--full, --refresh-only, --reps N, \
+          --out FILE)\n"
          arg;
        exit 2);
     incr i
@@ -1180,6 +1089,5 @@ let () =
     e4 ();
     e4c ();
     e5 ();
-    refresh_bench ();
-    if !run_micro then micro ()
+    refresh_bench ()
   end

@@ -77,7 +77,8 @@ let handle_dot (ext : Openivm.Runner.extension) line =
   | _ -> print_endline "unknown command; try .help"
 
 let execute ext sql =
-  match Openivm.Runner.exec_ext ext sql with
+  let stmt = Openivm_sql.Parser.parse_statement sql in
+  match Openivm.Runner.exec_ext ext stmt with
   | `Installed v ->
     Printf.printf "installed materialized view %s\n"
       (Openivm.Runner.view_name v)
@@ -122,13 +123,10 @@ let run_local () =
   repl
     ~on_dot:(fun line -> handle_dot ext line)
     ~on_sql:(fun sql ->
-      try execute ext sql with
-      | Error.Sql_error msg -> Printf.printf "error: %s\n" msg
-      | Openivm_sql.Parser.Error (msg, pos) ->
-        Printf.printf "parse error at byte %d: %s\n" pos msg
-      | Openivm_sql.Lexer.Error (msg, pos) ->
-        Printf.printf "lex error at byte %d: %s\n" pos msg
-      | Openivm.Compiler.Unsupported_view reason ->
+      match Error.protect (fun () -> execute ext sql) with
+      | Ok () -> ()
+      | Error msg -> Printf.printf "error: %s\n" msg
+      | exception Openivm.Compiler.Unsupported_view reason ->
         Printf.printf "unsupported view: %s\n" reason)
 
 (* --- client mode: speak the line protocol to `openivm serve` --- *)

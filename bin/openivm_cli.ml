@@ -36,6 +36,10 @@ let dialect_of_string s =
   | Some d -> Ok d
   | None -> Error (Printf.sprintf "unknown dialect %S" s)
 
+(** Run [f], rendering an engine, lexer or parser error as "[what]: ...". *)
+let protect what f =
+  Result.map_error (fun msg -> what ^ ": " ^ msg) (Error.protect f)
+
 (* --- observability: the shared --trace flag --- *)
 
 module Obs = Openivm_obs
@@ -87,37 +91,30 @@ let compile_action schema schema_file view view_file dialect strategy
       create_indexes = not no_indexes }
   in
   let db = Database.create () in
-  let* () =
-    try
-      ignore (Database.exec_script db schema_sql);
-      Ok ()
-    with
-    | Error.Sql_error msg -> Error ("schema error: " ^ msg)
-    | Openivm_sql.Parser.Error (msg, pos) ->
-      Error (Printf.sprintf "schema parse error at byte %d: %s" pos msg)
-  in
+  let* _ = protect "schema" (fun () -> Database.exec_script db schema_sql) in
   let* compiled =
-    try
-      if advise then begin
-        let compiled, advice =
-          Openivm.Advisor.compile_advised ~flags (Database.catalog db)
-            ~expected_delta view_sql
-        in
-        Printf.eprintf
-          "-- advisor: %s (base=%d rows, ~%.0f of %d groups touched per            refresh)\n"
-          (Openivm.Flags.strategy_to_string advice.Openivm.Advisor.recommended)
-          advice.Openivm.Advisor.base_rows
-          advice.Openivm.Advisor.touched_groups
-          advice.Openivm.Advisor.live_groups;
-        Ok compiled
-      end
-      else Ok (Openivm.Compiler.compile ~flags (Database.catalog db) view_sql)
+    match
+      protect "view" (fun () ->
+          if advise then begin
+            let compiled, advice =
+              Openivm.Advisor.compile_advised ~flags (Database.catalog db)
+                ~expected_delta view_sql
+            in
+            Printf.eprintf
+              "-- advisor: %s (base=%d rows, ~%.0f of %d groups touched per \
+               refresh)\n"
+              (Openivm.Flags.strategy_to_string
+                 advice.Openivm.Advisor.recommended)
+              advice.Openivm.Advisor.base_rows
+              advice.Openivm.Advisor.touched_groups
+              advice.Openivm.Advisor.live_groups;
+            compiled
+          end
+          else Openivm.Compiler.compile ~flags (Database.catalog db) view_sql)
     with
-    | Openivm.Compiler.Unsupported_view reason ->
+    | r -> r
+    | exception Openivm.Compiler.Unsupported_view reason ->
       Error ("unsupported view: " ^ reason)
-    | Error.Sql_error msg -> Error ("view error: " ^ msg)
-    | Openivm_sql.Parser.Error (msg, pos) ->
-      Error (Printf.sprintf "view parse error at byte %d: %s" pos msg)
   in
   print_endline (Openivm.Compiler.full_sql compiled);
   Ok ()
@@ -198,14 +195,8 @@ let check_action file format schema schema_file : (int, string) result =
     | None, None -> Ok ()
     | _ ->
       let* sql = load_input ~inline:schema ~file:schema_file ~what:"schema" in
-      (try
-         ignore (Database.exec_script db sql);
-         Ok ()
-       with
-       | Error.Sql_error msg -> Error ("schema error: " ^ msg)
-       | Openivm_sql.Parser.Error (msg, pos) | Openivm_sql.Lexer.Error (msg, pos)
-         ->
-         Error (Printf.sprintf "schema parse error at byte %d: %s" pos msg))
+      Result.map ignore
+        (protect "schema" (fun () -> Database.exec_script db sql))
   in
   let diags = Openivm.Sema.check_script db src in
   let module D = Openivm_sql.Diagnostic in
@@ -565,19 +556,15 @@ let stats_action script_file format strategy rows deltas batches =
     Fun.protect
       ~finally:(fun () -> Obs.Span.set_enabled false)
       (fun () ->
-         try
+         match
+           Error.protect @@ fun () ->
            (match script_file with
             | Some path ->
               let src = read_file path in
               let stmts = Openivm_sql.Parser.parse_script src in
               let ext = Openivm.Runner.load ~flags db in
               List.iter
-                (fun stmt ->
-                   let sql =
-                     Openivm_sql.Pretty.stmt_to_sql Openivm_sql.Dialect.minidb
-                       stmt
-                   in
-                   ignore (Openivm.Runner.exec_ext ext sql))
+                (fun stmt -> ignore (Openivm.Runner.exec_ext ext stmt))
                 stmts;
               List.iter Openivm.Runner.force_refresh
                 ext.Openivm.Runner.ext_views
@@ -596,15 +583,11 @@ let stats_action script_file format strategy rows deltas batches =
               for _ = 1 to batches do
                 W.apply_groups_delta db (W.groups_delta_rows gen ~rows:deltas);
                 Openivm.Runner.force_refresh v
-              done);
-           Ok ()
+              done)
          with
-         | Error.Sql_error msg -> Error msg
-         | Openivm.Compiler.Unsupported_view reason ->
-           Error ("unsupported view: " ^ reason)
-         | Openivm_sql.Parser.Error (msg, pos)
-         | Openivm_sql.Lexer.Error (msg, pos) ->
-           Error (Printf.sprintf "parse error at byte %d: %s" pos msg))
+         | r -> r
+         | exception Openivm.Compiler.Unsupported_view reason ->
+           Error ("unsupported view: " ^ reason))
   in
   print_endline (Obs.Report.render fmt);
   Ok ()
@@ -762,15 +745,12 @@ let serve_action port socket host schema_file init_file strategy eager
   let* () =
     match schema_file with
     | None -> Ok ()
-    | Some path ->
-      (try
-         ignore (Database.exec_script db (read_file path));
-         Ok ()
-       with
-       | Sys_error msg -> Error msg
-       | Error.Sql_error msg -> Error ("schema error: " ^ msg)
-       | Openivm_sql.Parser.Error (msg, pos) | Openivm_sql.Lexer.Error (msg, pos)
-         -> Error (Printf.sprintf "schema parse error at byte %d: %s" pos msg))
+    | Some path -> (
+        try
+          Result.map ignore
+            (protect "schema" (fun () ->
+                 Database.exec_script db (read_file path)))
+        with Sys_error msg -> Error msg)
   in
   let quota =
     { Srv.Quota.max_queue_depth = max_queue;
@@ -792,34 +772,35 @@ let serve_action port socket host schema_file init_file strategy eager
        MATERIALIZED VIEW goes through the scheduler's install path *)
     match init_file with
     | None -> Ok ()
-    | Some path ->
-      (try
-         let stmts = Openivm_sql.Parser.parse_script (read_file path) in
-         let s = Srv.Session.create (Srv.Server.scheduler srv) ~tenant:"init" in
-         Fun.protect ~finally:(fun () -> Srv.Session.close s)
-           (fun () ->
-              List.fold_left
-                (fun acc stmt ->
-                   let* () = acc in
-                   let sql =
-                     Openivm_sql.Pretty.stmt_to_sql Openivm_sql.Dialect.minidb
-                       stmt
-                   in
-                   match Srv.Session.exec s sql with
-                   | Srv.Session.Failed { code; message } ->
-                     Error (Printf.sprintf "init script: [%s] %s" code message)
-                   | Srv.Session.Overloaded reason ->
-                     Error ("init script overloaded: " ^ reason)
-                   | _ -> Ok ())
-                (Ok ()) stmts)
-       with
-       | Sys_error msg ->
-         Srv.Server.stop srv;
-         Error msg
-       | Openivm_sql.Parser.Error (msg, pos) | Openivm_sql.Lexer.Error (msg, pos)
-         ->
-         Srv.Server.stop srv;
-         Error (Printf.sprintf "init script parse error at byte %d: %s" pos msg))
+    | Some path -> (
+        let parsed =
+          try
+            protect "init script" (fun () ->
+                Openivm_sql.Parser.parse_script (read_file path))
+          with Sys_error msg -> Error msg
+        in
+        match parsed with
+        | Error _ as e ->
+          Srv.Server.stop srv;
+          e
+        | Ok stmts ->
+          let s = Srv.Session.create (Srv.Server.scheduler srv) ~tenant:"init" in
+          Fun.protect ~finally:(fun () -> Srv.Session.close s)
+            (fun () ->
+               List.fold_left
+                 (fun acc stmt ->
+                    let* () = acc in
+                    let sql =
+                      Openivm_sql.Pretty.stmt_to_sql Openivm_sql.Dialect.minidb
+                        stmt
+                    in
+                    match Srv.Session.exec s sql with
+                    | Srv.Session.Failed { code; message } ->
+                      Error (Printf.sprintf "init script: [%s] %s" code message)
+                    | Srv.Session.Overloaded reason ->
+                      Error ("init script overloaded: " ^ reason)
+                    | _ -> Ok ())
+                 (Ok ()) stmts))
   in
   Printf.printf "openivm: serving on %s (strategy %s, tick every %gs)\n%!"
     (Srv.Server.addr_text srv)

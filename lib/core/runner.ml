@@ -409,15 +409,14 @@ let store_scripts_on_disk (compiled : Compiler.t) =
       ({!backfill_chunk}).
     - [`Attach] — neither DDL nor load: the backing, delta and metadata
       tables already exist (a checkpoint-restored database); just compile,
-      register and re-arm capture. *)
-let install ?(flags = Flags.default) ?(registry = [])
-    ?(load = `Immediate) (db : Database.t) (sql : string) : view =
+      register and re-arm capture.
+
+    [compile] produces the view's compiled form: from SQL text for
+    {!install}, from an already-parsed query for {!exec_ext}. *)
+let install_with ~registry ~load (db : Database.t) compile : view =
   let compiled =
     Span.with_span "install" (fun sp ->
-        let compiled =
-          Span.with_span "compile" (fun _ ->
-              Compiler.compile ~flags (Database.catalog db) sql)
-        in
+        let compiled = Span.with_span "compile" (fun _ -> compile ()) in
         Span.set_str sp "view" compiled.Compiler.shape.Shape.view_name;
         (match load with
          | `Attach ->
@@ -474,6 +473,11 @@ let install ?(flags = Flags.default) ?(registry = [])
             | Flags.Lazy -> ()))
     (Compiler.base_tables compiled);
   v
+
+let install ?(flags = Flags.default) ?(registry = []) ?(load = `Immediate)
+    (db : Database.t) (sql : string) : view =
+  install_with ~registry ~load db (fun () ->
+      Compiler.compile ~flags (Database.catalog db) sql)
 
 (* --- staged backfill (the durable store's resumable initial load) --- *)
 
@@ -646,18 +650,25 @@ let atomically (ext : extension) f =
     List.iter (fun (v, n) -> v.pending_deltas <- n) saved;
     Printexc.raise_with_backtrace e bt
 
-(** Execute a statement with the OpenIVM extension active: the fall-back
-    parser path of the paper — [CREATE MATERIALIZED VIEW] is intercepted
-    and compiled; SELECTs over maintained views refresh them first; DML
-    runs all-or-nothing; everything else goes to the engine untouched. *)
-let exec_ext (ext : extension) (sql : string) :
+(** Execute a parsed statement with the OpenIVM extension active: the
+    fall-back parser path of the paper, and the one place that decides
+    which statements the extension intercepts — [CREATE MATERIALIZED
+    VIEW] is compiled from the query it holds; SELECTs over maintained
+    views refresh them first; DML runs all-or-nothing; everything else
+    goes to the engine untouched. *)
+let exec_ext (ext : extension) (stmt : Ast.stmt) :
   [ `Result of Database.exec_result | `Installed of view ] =
-  match Openivm_sql.Parser.parse_statement sql with
-  | Ast.Create_view { materialized = true; _ } ->
-    let v = install ~flags:ext.ext_flags ~registry:ext.ext_views ext.ext_db sql in
+  match stmt with
+  | Ast.Create_view { view; materialized = true; query } ->
+    let v =
+      install_with ~registry:ext.ext_views ~load:`Immediate ext.ext_db
+        (fun () ->
+           Compiler.compile_select ~flags:ext.ext_flags
+             (Database.catalog ext.ext_db) ~view_name:view query)
+    in
     ext.ext_views <- v :: ext.ext_views;
     `Installed v
-  | Ast.Select_stmt q as stmt ->
+  | Ast.Select_stmt q ->
     refresh_for_query ext q;
     `Result (Database.exec_stmt ext.ext_db stmt)
   | Ast.Drop { kind = `Table; name; _ } when find_view ext name <> None ->
@@ -668,7 +679,7 @@ let exec_ext (ext : extension) (sql : string) :
          List.filter (fun w -> not (String.equal (view_name w) name)) ext.ext_views;
        `Result (Database.Ok_msg (Printf.sprintf "dropped materialized view %s" name))
      | None -> assert false)
-  | Ast.Drop { kind = `Table; name; _ } as stmt ->
+  | Ast.Drop { kind = `Table; name; _ } ->
     (* dropping a base table would leave its views reading a table that
        no longer exists, or one recreated under the same name whose rows
        they never saw *)
@@ -682,16 +693,8 @@ let exec_ext (ext : extension) (sql : string) :
     let d = Openivm_sql.Diagnostic.cascade_dml_on_view ~view:table () in
     Error.fail "%s: %s" d.Openivm_sql.Diagnostic.code
       d.Openivm_sql.Diagnostic.message
-  | (Ast.Insert _ | Ast.Update _ | Ast.Delete _ | Ast.Truncate _) as stmt ->
+  | Ast.Insert _ | Ast.Update _ | Ast.Delete _ | Ast.Truncate _ ->
     (* a statement that fails part-way (a duplicate key on its third row)
        leaves neither rows nor deltas behind *)
     atomically ext (fun () -> `Result (Database.exec_stmt ext.ext_db stmt))
-  | stmt -> `Result (Database.exec_stmt ext.ext_db stmt)
-
-(** One-shot variant when no extension state is at hand. *)
-let exec ?(flags = Flags.default) (db : Database.t) (sql : string) :
-  [ `Result of Database.exec_result | `Installed of view ] =
-  match Openivm_sql.Parser.parse_statement sql with
-  | Ast.Create_view { materialized = true; _ } ->
-    `Installed (install ~flags db sql)
-  | stmt -> `Result (Database.exec_stmt db stmt)
+  | _ -> `Result (Database.exec_stmt ext.ext_db stmt)

@@ -130,17 +130,15 @@ val atomically : extension -> (unit -> 'a) -> 'a
     savepoint. *)
 
 val exec_ext :
-  extension -> string ->
+  extension -> Openivm_sql.Ast.stmt ->
   [ `Result of Database.exec_result | `Installed of view ]
-(** Execute with the extension active: [CREATE MATERIALIZED VIEW] is
-    intercepted and compiled; SELECTs over maintained views refresh them
-    first; [DROP TABLE v] on a maintained view uninstalls it; [DROP TABLE]
-    of anything a maintained view reads raises IVM202; INSERT, UPDATE,
-    DELETE and TRUNCATE run inside {!atomically}, so a failing statement
-    leaves no rows, deltas or refreshes behind; everything else passes
-    through. *)
-
-val exec :
-  ?flags:Flags.t -> Database.t -> string ->
-  [ `Result of Database.exec_result | `Installed of view ]
-(** One-shot variant without extension state (no query interception). *)
+(** Execute a parsed statement with the extension active. This is the one
+    place that decides which statements the extension intercepts; it
+    parses nothing, so callers parse once at the edge that receives text.
+    [CREATE MATERIALIZED VIEW] is compiled from the query it holds and
+    installed; SELECTs over maintained views refresh them first; [DROP
+    TABLE v] on a maintained view uninstalls it; [DROP TABLE] of anything
+    a maintained view reads raises IVM202; INSERT, UPDATE, DELETE and
+    TRUNCATE of a view's backing table raise IVM203, and of any other
+    table run inside {!atomically}, so a failing statement leaves no
+    rows, deltas or refreshes behind; everything else passes through. *)

@@ -36,7 +36,6 @@ type 'a t = { mutable root : 'a node option; mutable size : int }
 
 let create () = { root = None; size = 0 }
 let length t = t.size
-let is_empty t = t.size = 0
 
 (* --- prefix-free internal key encoding --- *)
 

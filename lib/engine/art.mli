@@ -13,7 +13,6 @@ type 'a t
 
 val create : unit -> 'a t
 val length : 'a t -> int
-val is_empty : 'a t -> bool
 
 val insert : 'a t -> string -> 'a -> unit
 (** Insert or replace. *)

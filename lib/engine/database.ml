@@ -63,14 +63,6 @@ let catalog t = t.catalog
 let triggers t = t.triggers
 let profile t = t.profile
 
-let reset_profile t =
-  t.profile.statements <- 0;
-  t.profile.select_time <- 0.0;
-  t.profile.dml_time <- 0.0;
-  t.profile.ddl_time <- 0.0;
-  t.profile.rows_read <- 0;
-  t.profile.rows_written <- 0
-
 let set_statement_latency t seconds = t.statement_latency <- seconds
 
 let simulate_latency t =

@@ -46,7 +46,6 @@ val create : ?name:string -> unit -> t
 val catalog : t -> Catalog.t
 val triggers : t -> Trigger.t
 val profile : t -> profile
-val reset_profile : t -> unit
 
 val set_statement_latency : t -> float -> unit
 (** Artificial per-statement latency in seconds, modelling a client/server

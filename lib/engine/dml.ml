@@ -45,9 +45,6 @@ let coercer (schema : Schema.t) : Row.t -> Row.t =
     done;
     !out
 
-let coerce_to_schema (schema : Schema.t) (row : Row.t) : Row.t =
-  coercer schema row
-
 (** Plans with no compute — bare scans and column-only projections of one
     — read their rows straight out of the source on INSERT ... SELECT,
     which is the propagation swap's second statement. A projection that
@@ -298,19 +295,17 @@ let exec_update catalog triggers ~table ~assignments ~where : outcome =
   let compiled =
     List.map
       (fun (col, e) ->
-         let i, colinfo = Schema.find schema ~qualifier:None ~name:col in
-         let c = Exec.compile_expr catalog schema e in
-         (i, colinfo.Schema.typ, c))
+         let i, _ = Schema.find schema ~qualifier:None ~name:col in
+         (i, Exec.compile_expr catalog schema e))
       assignments
   in
+  (* the updated row passes the same NOT NULL and type check as an
+     inserted one *)
+  let coerce = coercer schema in
   let transform (row : Row.t) : Row.t =
     let fresh = Array.copy row in
-    List.iter
-      (fun (i, typ, c) ->
-         let v = c row in
-         fresh.(i) <- (if Value.is_null v then v else Expr.cast_value typ v))
-      compiled;
-    fresh
+    List.iter (fun (i, c) -> fresh.(i) <- c row) compiled;
+    coerce fresh
   in
   let changed =
     match candidate_slots tbl where with
@@ -319,14 +314,16 @@ let exec_update catalog triggers ~table ~assignments ~where : outcome =
         List.filter_map
           (fun slot ->
              match _openivm_engine_vec_get tbl slot with
-             | Some row when pred row -> Some slot
+             | Some row when pred row -> Some (slot, row)
              | _ -> None)
           slots
       in
+      (* as in [Table.update_where]: build the new image before the old
+         one is deleted, so a refused row stays where it was *)
       List.map
-        (fun slot ->
-           let old = Option.get (Table.delete_slot tbl slot) in
+        (fun (slot, old) ->
            let fresh = transform old in
+           ignore (Table.delete_slot tbl slot);
            Table.insert tbl fresh;
            (old, fresh))
         targets

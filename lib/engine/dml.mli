@@ -7,9 +7,6 @@ type outcome = {
   change : Trigger.change option;
 }
 
-val coerce_to_schema : Schema.t -> Row.t -> Row.t
-(** Arity check, NOT NULL enforcement, and type coercion. *)
-
 val candidate_slots : Table.t -> Sql.Ast.expr option -> int list option
 (** Slots an index narrows a WHERE clause to (a superset of the matches),
     or [None] when no index applies. *)

@@ -30,9 +30,6 @@ let compare (a : t) (b : t) =
 let to_string (r : t) =
   "(" ^ String.concat ", " (Array.to_list (Array.map Value.to_string r)) ^ ")"
 
-let project (r : t) (indices : int array) : t =
-  Array.map (fun i -> r.(i)) indices
-
 let concat (a : t) (b : t) : t = Array.append a b
 
 module Hash = struct

@@ -9,7 +9,6 @@ val hash : t -> int
 val compare : t -> t -> int
 val to_string : t -> string
 
-val project : t -> int array -> t
 val concat : t -> t -> t
 
 module Hash : Hashtbl.HashedType with type t = t

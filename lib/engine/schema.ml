@@ -53,11 +53,3 @@ let requalify (s : t) (binding : string) : t =
 
 (** Schema of a join result: concatenation, qualifiers preserved. *)
 let join (a : t) (b : t) : t = a @ b
-
-let to_string (s : t) =
-  String.concat ", "
-    (List.map
-       (fun c ->
-          let q = match c.table with Some t -> t ^ "." | None -> "" in
-          Printf.sprintf "%s%s %s" q c.name (Sql.Ast.typ_to_string c.typ))
-       s)

@@ -27,4 +27,3 @@ val requalify : t -> string -> t
 (** Re-qualify every column with a new binding (FROM t AS a). *)
 
 val join : t -> t -> t
-val to_string : t -> string

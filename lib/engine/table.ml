@@ -151,10 +151,6 @@ let ensure_pk t =
 let find_secondary t name =
   List.find_opt (fun ix -> String.equal ix.index_name name) t.secondary
 
-(** Secondary index whose key is exactly [positions] (order-sensitive). *)
-let secondary_on t (positions : int array) =
-  List.find_opt (fun ix -> ix.key_positions = positions) t.secondary
-
 let create_index t ~index_name ~key_positions ~unique =
   if find_secondary t index_name <> None then
     Error.fail "index %S already exists" index_name;

@@ -46,7 +46,6 @@ val iter_slots : (int -> Row.t -> unit) -> t -> unit
 val to_rows : t -> Row.t list
 
 val find_secondary : t -> string -> index option
-val secondary_on : t -> int array -> index option
 val create_index :
   t -> index_name:string -> key_positions:int array -> unique:bool -> index
 val drop_index : t -> index_name:string -> unit

@@ -113,8 +113,6 @@ let to_string_exact = function
   | Float f -> float_to_string_exact f
   | v -> to_string v
 
-let pp fmt v = Format.pp_print_string fmt (to_string v)
-
 (* --- ordering, equality, hashing --- *)
 
 let rank = function
@@ -158,12 +156,6 @@ let as_float = function
   | Int i -> float_of_int i
   | Float f -> f
   | v -> Error.fail "cannot use %s (%s) as a number" (to_string v) (type_name v)
-
-let as_int = function
-  | Int i -> i
-  | Float f -> int_of_float f
-  | Bool b -> if b then 1 else 0
-  | v -> Error.fail "cannot use %s (%s) as an integer" (to_string v) (type_name v)
 
 let as_bool = function
   | Bool b -> b

@@ -25,8 +25,6 @@ val to_string_exact : t -> string
     back to the identical bits) — what CSV checkpoints and WAL records
     write, so durable state is loss-free. *)
 
-val pp : Format.formatter -> t -> unit
-
 val compare : t -> t -> int
 (** Total order used by ORDER BY / GROUP BY / indexes: NULL first, then
     booleans, numerics (ints and floats compare numerically), strings,
@@ -37,7 +35,6 @@ val hash : t -> int
 (** Consistent with [equal] (integral floats hash like the equal int). *)
 
 val as_float : t -> float
-val as_int : t -> int
 val as_bool : t -> bool
 
 val encode_key : t array -> string

@@ -96,7 +96,8 @@ let check_strategy ~crash_seed (case : Case.t) strategy :
   let oext = Runner.load ~flags odb in
   List.iter
     (function
-      | Sql sql | Install (_, sql) -> ignore (Runner.exec_ext oext sql)
+      | Sql sql | Install (_, sql) ->
+        ignore (Runner.exec_ext oext (Openivm_sql.Parser.parse_statement sql))
       | Checkpoint -> ())
     steps;
   with_temp_dir (fun dir ->

@@ -207,8 +207,6 @@ let discard_in_flight (t : t) : int =
   t.held <- [];
   n
 
-let held_count t = List.length t.held
-
 (** Ship a batch of rows across the bridge reliably: serialize, pay the
     transfer cost, deserialize on the far side. The fault harness does not
     apply — this is the full-resync / ship-everything baseline path. *)

@@ -67,8 +67,6 @@ val discard_in_flight : t -> int
 (** Drop held batches (full resync must not see stale traffic resurface);
     returns how many were discarded. *)
 
-val held_count : t -> int
-
 val busy_wait : float -> unit
 (** Spin for the given number of seconds (latency / backoff modelling). *)
 

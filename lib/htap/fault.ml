@@ -110,8 +110,6 @@ let active t = t.suspended = 0
 let schedule t kind ~after =
   t.scheduled <- (kind, max 0 after) :: List.remove_assoc kind t.scheduled
 
-let unschedule t kind = t.scheduled <- List.remove_assoc kind t.scheduled
-
 (** Roll the dice for [kind]; counts the injection when it fires. While
     suspended, nothing fires and no randomness is consumed (so recovery
     does not perturb the replayable fault schedule). *)

@@ -75,8 +75,6 @@ val schedule : t -> kind -> after:int -> unit
     fires regardless of probability, then disarms. Scheduled rolls consume
     no randomness. *)
 
-val unschedule : t -> kind -> unit
-
 val draw : t -> int -> int
 (** Deterministic draw in [0, bound): crash position, corrupted byte. *)
 

@@ -162,17 +162,18 @@ let set_watermark t (source : string) (seq : int) : unit =
     (fun stmt -> ignore (Database.exec_stmt t.olap stmt))
     (Openivm.Metadata.set_watermark ~source ~seq)
 
-(** Apply one shipped delta row (base row + multiplicity) to the OLAP
-    replica of [base]: insert on true, remove one matching row on false.
-    A deletion that finds no matching row means the replica has diverged:
-    counted in [stats.replica_misses], an error under [strict_replica]. *)
-let apply_to_replica t ~(base : string) (delta_row : Row.t) : unit =
-  let catalog = Database.catalog t.olap in
-  let tbl = Catalog.find_table catalog base in
+(** Apply one shipped delta row (base row + multiplicity) to the replica
+    of [base] in [db]: insert on true, remove one matching row on false.
+    Returns whether a deletion found its row (always [true] for an
+    insertion). *)
+let apply_replica_row db ~(base : string) (delta_row : Row.t) : bool =
+  let tbl = Catalog.find_table (Database.catalog db) base in
   let arity = Array.length delta_row - 1 in
   let image = Array.sub delta_row 0 arity in
   match delta_row.(arity) with
-  | Value.Bool true -> Table.insert tbl image
+  | Value.Bool true ->
+    Table.insert tbl image;
+    true
   | Value.Bool false ->
     (* remove a single occurrence *)
     let found = ref None in
@@ -180,13 +181,21 @@ let apply_to_replica t ~(base : string) (delta_row : Row.t) : unit =
       (fun slot row -> if !found = None && Row.equal row image then found := Some slot)
       tbl;
     (match !found with
-     | Some slot -> ignore (Table.delete_slot tbl slot)
-     | None ->
-       t.stats.replica_misses <- t.stats.replica_misses + 1;
-       if t.strict_replica then
-         Error.fail "replica of %S diverged: deletion found no row %s" base
-           (Row.to_string image))
+     | Some slot ->
+       ignore (Table.delete_slot tbl slot);
+       true
+     | None -> false)
   | _ -> Error.fail "delta row without boolean multiplicity"
+
+(** A deletion that finds no matching row means the replica has diverged:
+    counted in [stats.replica_misses], an error under [strict_replica]. *)
+let apply_to_replica t ~(base : string) (delta_row : Row.t) : unit =
+  if not (apply_replica_row t.olap ~base delta_row) then begin
+    t.stats.replica_misses <- t.stats.replica_misses + 1;
+    if t.strict_replica then
+      Error.fail "replica of %S diverged: deletion found no row %s" base
+        (Row.to_string (Array.sub delta_row 0 (Array.length delta_row - 1)))
+  end
 
 (* --- transactional batch apply --- *)
 
@@ -335,34 +344,6 @@ let view_contents ?order_by t : Database.query_result =
 
 (* --- convergence check --- *)
 
-(** The view's visible contents as sorted row strings: hidden bookkeeping
-    columns stripped, flat (weighted) views expanded back to bags. *)
-let visible_view_rows t : string list =
-  let shape = t.view.Openivm.Runner.compiled.Openivm.Compiler.shape in
-  let visible = Openivm.Shape.visible_names shape in
-  let flat = not (Openivm.Shape.has_aggregates shape) in
-  let cols =
-    if flat then visible @ [ Openivm.Shape.count_column ] else visible
-  in
-  Openivm.Runner.refresh t.view;
-  let r =
-    Database.query t.olap
-      (Printf.sprintf "SELECT %s FROM %s"
-         (String.concat ", " cols)
-         (Openivm.Runner.view_name t.view))
-  in
-  let rows =
-    if flat then
-      List.concat_map
-        (fun (row : Row.t) ->
-           let n = Array.length row - 1 in
-           let weight = match row.(n) with Value.Int w -> w | _ -> 1 in
-           List.init weight (fun _ -> Row.to_string (Array.sub row 0 n)))
-        r.Database.rows
-    else List.map Row.to_string r.Database.rows
-  in
-  List.sort String.compare rows
-
 (** Ground truth: the defining query recomputed directly over the OLTP
     base tables (no bridge involved). *)
 let ground_truth_rows t : string list =
@@ -378,7 +359,18 @@ let ground_truth_rows t : string list =
     query over the current OLTP state? (Requires all deltas shipped —
     callers sync first.) *)
 let verify t : bool =
-  (not t.crashed) && visible_view_rows t = ground_truth_rows t
+  (not t.crashed)
+  && begin
+    (* [Runner.visible_rows] reads through [Runner.query], which already
+       refreshes a Lazy view or one over upstream views; refresh any
+       other view here, so each is refreshed once *)
+    let v = t.view in
+    if v.Openivm.Runner.compiled.Openivm.Compiler.flags.Openivm.Flags.refresh
+       = Openivm.Flags.Eager
+       && v.Openivm.Runner.upstreams = []
+    then Openivm.Runner.refresh v;
+    Openivm.Runner.visible_rows v = ground_truth_rows t
+  end
 
 (* --- crash recovery --- *)
 

@@ -102,6 +102,13 @@ val verify : t -> bool
 (** Does the materialized view agree exactly with recomputing its defining
     query over the current OLTP state? False while {!crashed}. *)
 
+val apply_replica_row : Database.t -> base:string -> Row.t -> bool
+(** Apply one shipped delta row (base row + boolean multiplicity) to the
+    replica of [base] in the given database: insert on true, remove one
+    matching row on false. Returns whether a deletion found its row
+    ([true] for an insertion). The pipeline counts a miss (an error under
+    [strict_replica]); the durable store's replay ignores it. *)
+
 (** {1 Crash recovery} *)
 
 type recovery = {

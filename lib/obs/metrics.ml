@@ -83,8 +83,6 @@ let set_gauge g v =
 
 let set_gauge_int g v = set_gauge g (float_of_int v)
 
-let gauge_value g = locked (fun () -> g.fsum)
-
 let histogram ?help ?labels name = get_or_create ?help ?labels Histogram name
 
 let bucket_index v =

@@ -23,7 +23,6 @@ val counter_value : counter -> int
 val gauge : ?help:string -> ?labels:(string * string) list -> string -> gauge
 val set_gauge : gauge -> float -> unit
 val set_gauge_int : gauge -> int -> unit
-val gauge_value : gauge -> float
 
 val histogram :
   ?help:string -> ?labels:(string * string) list -> string -> histogram

@@ -26,10 +26,12 @@ type outcome =
 
 type state = Pending | Done of outcome
 
+type stmt = { ast : Ast.stmt; sql : string }
+
 type ticket = {
   u_session : int;
   u_tenant : string;
-  u_stmts : string list;
+  u_stmts : stmt list;
   mutable u_state : state;
 }
 
@@ -120,8 +122,6 @@ let create ?(quota = Quota.default_config) ext =
     journal_rev = [];
   }
 
-let extension t = t.ext
-
 let open_session t =
   with_lock t (fun () ->
       t.session_seq <- t.session_seq + 1;
@@ -192,26 +192,24 @@ let read_locked t q =
 
 exception Ddl_in_transaction
 
-(* [in_txn]: the statement is one of several in a unit. A DDL statement
-   there is refused before it runs, which fails and rolls back the whole
-   unit, because rollback reverts rows, not catalog changes: a view
-   installed by a unit that later fails would stay registered over
-   reverted tables. *)
-let apply_stmt t ~in_txn sql =
-  match Openivm_sql.Parser.parse_statement sql with
+(* The scheduler's own policy over {!Runner.exec_ext}, which decides
+   everything else. [in_txn]: the statement is one of several in a unit.
+   A DDL statement there is refused before it runs, which fails and rolls
+   back the whole unit, because rollback reverts rows, not catalog
+   changes: a view installed by a unit that later fails would stay
+   registered over reverted tables. *)
+let apply_stmt t ~in_txn { ast; sql } =
+  match ast with
   | (Ast.Create_table _ | Ast.Create_view _ | Ast.Create_index _ | Ast.Drop _)
     when in_txn ->
       raise Ddl_in_transaction
   | Ast.Create_view { materialized = true; _ } -> `Installed (install_view t sql)
   | Ast.Select_stmt q -> `Result (Database.Rows (read_locked t q))
   | Ast.Drop { name; _ } when Runner.find_view t.ext name <> None ->
-      let r = Runner.exec_ext t.ext sql in
+      let r = Runner.exec_ext t.ext ast in
       forget_view t name;
       r
-  | _ ->
-      (* exec_ext keeps the guard rails (DML on a view's backing table is
-         IVM203) without re-intercepting the cases handled above. *)
-      Runner.exec_ext t.ext sql
+  | _ -> Runner.exec_ext t.ext ast
 
 (* ------------------------------------------------------------------ *)
 (* Units and rollback                                                  *)
@@ -234,8 +232,8 @@ let apply_unit t u =
       match
         Runner.atomically t.ext (fun () ->
             List.fold_left
-              (fun (affected, installed) sql ->
-                match apply_stmt t ~in_txn sql with
+              (fun (affected, installed) stmt ->
+                match apply_stmt t ~in_txn stmt with
                 | `Result (Database.Affected n) -> (affected + n, installed)
                 | `Result _ -> (affected, installed)
                 | `Installed v -> (affected, Runner.view_name v :: installed))
@@ -243,14 +241,12 @@ let apply_unit t u =
       with
       | affected, installed ->
           if t.record_journal then
-            t.journal_rev <- List.rev_append u.u_stmts t.journal_rev;
+            t.journal_rev <-
+              List.fold_left (fun acc s -> s.sql :: acc) t.journal_rev
+                u.u_stmts;
           t.stat_units_applied <- t.stat_units_applied + 1;
           Applied { affected; installed = List.rev installed }
       | exception Error.Sql_error msg -> fail "SQL" msg
-      | exception Openivm_sql.Parser.Error (msg, pos) ->
-          fail "PARSE" (Printf.sprintf "%s (at %d)" msg pos)
-      | exception Openivm_sql.Lexer.Error (msg, pos) ->
-          fail "LEX" (Printf.sprintf "%s (at %d)" msg pos)
       | exception Compiler.Unsupported_view msg -> fail "VIEW" msg
       | exception Ddl_in_transaction ->
           fail "TXN" "DDL is not allowed inside a transaction")

@@ -39,8 +39,6 @@ val create : ?quota:Quota.config -> Openivm.Runner.extension -> t
     selects whether a view refreshes at tick end ([Eager]) or on first
     read ([Lazy]). *)
 
-val extension : t -> Openivm.Runner.extension
-
 (** {1 Sessions} *)
 
 val open_session : t -> int
@@ -55,6 +53,12 @@ type outcome =
   | Failed of { code : string; message : string }
       (** the unit was rolled back all-or-nothing *)
 
+type stmt = { ast : Openivm_sql.Ast.stmt; sql : string }
+(** One statement of a unit, parsed once by whoever received its text
+    ({!Session.exec}); the scheduler never parses. [sql] is the text
+    [ast] was parsed from: the journal records it, and a [CREATE
+    MATERIALIZED VIEW] installs from it. *)
+
 type ticket
 
 type submit_result =
@@ -62,8 +66,13 @@ type submit_result =
   | Rejected of string  (** admission control refused: Overloaded reply *)
 
 val submit :
-  t -> session_id:int -> tenant:string -> string list -> submit_result
-(** Enqueue one unit. Does not block and does not run a tick. *)
+  t -> session_id:int -> tenant:string -> stmt list -> submit_result
+(** Enqueue one unit. Does not block and does not run a tick. Each
+    statement then applies through {!Openivm.Runner.exec_ext}, under the
+    scheduler's own policy: DDL inside a multi-statement unit is refused
+    ([TXN]); a [CREATE MATERIALIZED VIEW] installs with lazy capture
+    (see {!create}); a [SELECT] takes the tick-gated read path of
+    {!read}; dropping a maintained view also forgets its refresh state. *)
 
 val await : t -> ticket -> outcome
 (** Block until the unit's tick has applied it. When no background
@@ -72,7 +81,7 @@ val await : t -> ticket -> outcome
 
 val exec_unit :
   t -> session_id:int -> tenant:string ->
-  string list -> [ `Outcome of outcome | `Overloaded of string ]
+  stmt list -> [ `Outcome of outcome | `Overloaded of string ]
 (** [submit] + [await]. *)
 
 (** {1 Reads} *)

@@ -4,7 +4,7 @@ type t = {
   sched : Scheduler.t;
   sid : int;
   s_tenant : string;
-  mutable txn : string list option;  (* buffered statements, reversed *)
+  mutable txn : Scheduler.stmt list option;  (* buffered statements, reversed *)
   mutable closed : bool;
 }
 
@@ -22,7 +22,6 @@ let create sched ~tenant =
 
 let id t = t.sid
 let tenant t = t.s_tenant
-let in_txn t = t.txn <> None
 
 let close t =
   if not t.closed then begin
@@ -62,8 +61,9 @@ let exec t sql =
     | Error (Openivm_sql.Lexer.Error (msg, pos)) ->
         Failed { code = "LEX"; message = Printf.sprintf "%s (at %d)" msg pos }
     | Error e -> Failed { code = "PARSE"; message = Printexc.to_string e }
-    | Ok stmt -> (
-        match stmt with
+    | Ok ast -> (
+        let stmt = { Scheduler.ast; sql } in
+        match ast with
         | Ast.Begin_txn -> (
             match t.txn with
             | Some _ ->
@@ -99,9 +99,9 @@ let exec t sql =
         | Ast.Insert _ | Ast.Update _ | Ast.Delete _ | Ast.Truncate _ -> (
             match t.txn with
             | Some rev ->
-                t.txn <- Some (sql :: rev);
+                t.txn <- Some (stmt :: rev);
                 Queued (List.length rev + 1)
-            | None -> submit_unit t [ sql ])
+            | None -> submit_unit t [ stmt ])
         | _ -> (
             (* DDL: single-statement units only, never buffered — the
                undo journal reverts rows, not catalog changes. *)
@@ -112,4 +112,4 @@ let exec t sql =
                     code = "TXN";
                     message = "DDL is not allowed inside a transaction";
                   }
-            | None -> submit_unit t [ sql ]))
+            | None -> submit_unit t [ stmt ]))

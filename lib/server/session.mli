@@ -26,11 +26,12 @@ type reply =
 val create : Scheduler.t -> tenant:string -> t
 val id : t -> int
 val tenant : t -> string
-val in_txn : t -> bool
 
 val exec : t -> string -> reply
 (** Execute one SQL statement (or BEGIN/COMMIT/ROLLBACK). Never raises:
-    engine and parse errors come back as [Failed]. *)
+    engine and parse errors come back as [Failed]. The statement is
+    parsed here, once; the scheduler receives the parsed statement beside
+    its text ({!Scheduler.stmt}). *)
 
 val close : t -> unit
 (** Discard any open transaction buffer and release the session. *)

@@ -95,13 +95,6 @@ let rec expr_columns acc = function
     expr_columns acc e
   | Ast.Between (e, lo, hi, _) -> List.fold_left expr_columns acc [ e; lo; hi ]
 
-let select_columns (s : Ast.select) =
-  let acc = List.fold_left (fun acc (e, _) -> expr_columns acc e) [] s.projections in
-  let acc = match s.where with Some e -> expr_columns acc e | None -> acc in
-  let acc = List.fold_left expr_columns acc s.group_by in
-  let acc = match s.having with Some e -> expr_columns acc e | None -> acc in
-  List.rev acc
-
 (** The output column name of projection [i]: explicit alias, else a bare
     column name, else a synthesized [colN] name. Aggregates without alias
     get the aggregate name. *)

@@ -38,10 +38,6 @@ val expr_columns :
 (** Prepend the column references of an expression, as
     [(qualifier, name)] pairs. Subquery scopes are not entered. *)
 
-val select_columns : Ast.select -> (string option * string) list
-(** Column references of a select's projections, WHERE, GROUP BY and
-    HAVING clauses. *)
-
 val projection_name : int -> Ast.expr * string option -> string
 (** Output name of projection [i]: the explicit alias, a bare column's
     name, the aggregate's name, or a synthesized [colN]. *)

@@ -169,25 +169,6 @@ let install_view t (sql : string) : Runner.view =
 
 (* --- bridge batches --- *)
 
-(** Mirror of {!Openivm_htap.Pipeline}'s replica apply: one shipped delta
-    row onto the OLAP-side base replica. *)
-let apply_to_replica db ~(base : string) (delta_row : Row.t) : unit =
-  let tbl = Catalog.find_table (Database.catalog db) base in
-  let arity = Array.length delta_row - 1 in
-  let image = Array.sub delta_row 0 arity in
-  match delta_row.(arity) with
-  | Value.Bool true -> Table.insert tbl image
-  | Value.Bool false ->
-    let found = ref None in
-    Table.iter_slots
-      (fun slot row ->
-         if !found = None && Row.equal row image then found := Some slot)
-      tbl;
-    (match !found with
-     | Some slot -> ignore (Table.delete_slot tbl slot)
-     | None -> ())
-  | _ -> Error.fail "store: delta row without boolean multiplicity"
-
 let replay_batch db ext ~view ~source ~seq ~replica (rows : Row.t list) :
   unit =
   match Runner.find_view ext view with
@@ -201,7 +182,9 @@ let replay_batch db ext ~view ~source ~seq ~replica (rows : Row.t list) :
         List.iter
           (fun row ->
              Table.insert delta row;
-             if replica then apply_to_replica db ~base:source row)
+             if replica then
+               (* a deletion that finds no row was already a miss live *)
+               ignore (Openivm_htap.Pipeline.apply_replica_row db ~base:source row))
           rows);
     exec_stmts db (Openivm.Metadata.set_watermark ~source ~seq);
     v.Runner.pending_deltas <- v.Runner.pending_deltas + List.length rows
@@ -214,10 +197,10 @@ let log_batch t ~view ~source ~seq ~replica (rows : Row.t list) : unit =
 
 (** Apply a logged statement through the extension (shared by live exec
     and replay): DROP of a maintained view also clears its ledger row. *)
-let apply_stmt db ext (sql : string) :
+let apply_stmt db ext (stmt : Ast.stmt) :
   [ `Result of Database.exec_result | `Installed of Runner.view ] =
-  let r = Runner.exec_ext ext sql in
-  (match Openivm_sql.Parser.parse_statement sql with
+  let r = Runner.exec_ext ext stmt in
+  (match stmt with
    | Ast.Drop { kind = `Table; name; _ } ->
      exec_stmts db (Metadata.backfill_delete ~view_name:name)
    | _ -> ());
@@ -229,11 +212,11 @@ let exec t (sql : string) :
   match Openivm_sql.Parser.parse_statement sql with
   | Ast.Create_view { materialized = true; _ } ->
     `Installed (install_view t sql)
-  | Ast.Select_stmt _ ->
+  | Ast.Select_stmt _ as stmt ->
     (* reads commit nothing: refresh + query, unlogged *)
-    Runner.exec_ext t.ext sql
-  | _ ->
-    let r = apply_stmt t.db t.ext sql in
+    Runner.exec_ext t.ext stmt
+  | stmt ->
+    let r = apply_stmt t.db t.ext stmt in
     ignore (Wal.append t.wal (Wal.Stmt sql));
     r
 
@@ -330,7 +313,9 @@ let open_ ?(flags = Flags.default) ?faults ?(chunk_rows = 256)
            List.iter
              (fun { Wal.seq; payload } ->
                 match payload with
-                | Wal.Stmt sql -> ignore (apply_stmt db ext sql)
+                | Wal.Stmt sql ->
+                  ignore
+                    (apply_stmt db ext (Openivm_sql.Parser.parse_statement sql))
                 | Wal.Install
                     { view_sql; chunk_rows = cr; strategy; dialect; refresh }
                   ->

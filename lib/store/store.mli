@@ -56,10 +56,12 @@ val committed_seq : t -> int
 val exec :
   t -> string ->
   [ `Result of Database.exec_result | `Installed of Openivm.Runner.view ]
-(** Execute one statement durably: apply, then log. SELECTs refresh lazy
-    views and are not logged; [CREATE MATERIALIZED VIEW] runs the staged
-    backfill; [DROP TABLE] of a maintained view uninstalls it and clears
-    its ledger row. *)
+(** Execute one statement durably: apply, then log. The statement is
+    parsed once, here, and {!Openivm.Runner.exec_ext} applies the parsed
+    form; recovery parses each logged statement once. SELECTs refresh
+    lazy views and are not logged; [CREATE MATERIALIZED VIEW] runs the
+    staged backfill; [DROP TABLE] of a maintained view uninstalls it and
+    clears its ledger row. *)
 
 val log_batch :
   t -> view:string -> source:string -> seq:int -> replica:bool ->

@@ -162,7 +162,8 @@ let run_strategy strategy =
   let oext = Runner.load ~flags odb in
   List.iter
     (function
-      | Stmt sql | Install (_, sql) -> ignore (Runner.exec_ext oext sql)
+      | Stmt sql | Install (_, sql) ->
+        ignore (Runner.exec_ext oext (Openivm_sql.Parser.parse_statement sql))
       | Checkpoint -> ())
     steps;
   with_temp_dir (fun dir ->

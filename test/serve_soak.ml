@@ -231,7 +231,7 @@ let run_strategy ~strategy ~seed =
   let submit s sql =
     match
       Scheduler.submit sched ~session_id:(Session.id s) ~tenant:(Session.tenant s)
-        [ sql ]
+        [ { Scheduler.ast = Openivm_sql.Parser.parse_statement sql; sql } ]
     with
     | Scheduler.Queued u -> u
     | Scheduler.Rejected r ->

@@ -183,10 +183,10 @@ let test_uninstall_guard () =
 let test_dml_interception () =
   let db = sales_db () in
   let ext = Runner.load db in
-  ignore (Runner.exec_ext ext v1_sql);
-  ignore (Runner.exec_ext ext v2_sql);
+  ignore (Util.exec_ext ext v1_sql);
+  ignore (Util.exec_ext ext v2_sql);
   let expect_ivm203 sql =
-    match Runner.exec_ext ext sql with
+    match Util.exec_ext ext sql with
     | exception Error.Sql_error msg ->
       Alcotest.(check bool) ("IVM203 for " ^ sql) true
         (String.length msg >= 6 && String.sub msg 0 6 = "IVM203")
@@ -199,7 +199,7 @@ let test_dml_interception () =
   (* DROP of a view with dependents, or of a base table a view reads,
      refuses; in DAG order it works *)
   let expect_ivm202 sql =
-    match Runner.exec_ext ext sql with
+    match Util.exec_ext ext sql with
     | exception Error.Sql_error msg ->
       Alcotest.(check bool) ("IVM202 for " ^ sql) true
         (String.length msg >= 6 && String.sub msg 0 6 = "IVM202")
@@ -207,12 +207,12 @@ let test_dml_interception () =
   in
   expect_ivm202 "DROP TABLE region_totals";
   expect_ivm202 "DROP TABLE sales";
-  ignore (Runner.exec_ext ext "DROP TABLE by_size");
+  ignore (Util.exec_ext ext "DROP TABLE by_size");
   expect_ivm202 "DROP TABLE sales";
-  ignore (Runner.exec_ext ext "DROP TABLE region_totals");
+  ignore (Util.exec_ext ext "DROP TABLE region_totals");
   Alcotest.(check int) "extension registry drained" 0
     (List.length ext.Runner.ext_views);
-  ignore (Runner.exec_ext ext "DROP TABLE sales");
+  ignore (Util.exec_ext ext "DROP TABLE sales");
   Alcotest.(check bool) "base table dropped once no view reads it" true
     (Catalog.find_table_opt (Database.catalog db) "sales" = None)
 

@@ -35,7 +35,7 @@ let check_view ?(msg = "view = recompute") v =
 let embedded () =
   let db = Util.db_with [ t_ddl; t_seed ] in
   let ext = Runner.load db in
-  let v = installed (Runner.exec_ext ext s_view) in
+  let v = installed (Util.exec_ext ext s_view) in
   (db, ext, v)
 
 let seed_rows = [ "(1, a, 10)"; "(2, b, 20)"; "(3, a, 30)" ]
@@ -45,7 +45,7 @@ let test_embedded_pk_moving_update () =
   (* row 1 keeps its key; row 2's new key collides with it after row 2
      has already been deleted *)
   expect_sql_error "UPDATE t SET id = 1" (fun () ->
-      Runner.exec_ext ext "UPDATE t SET id = 1");
+      Util.exec_ext ext "UPDATE t SET id = 1");
   Util.check_rows ~msg:"no row lost" db "SELECT * FROM t" seed_rows;
   check_view v;
   Alcotest.(check (list string)) "view contents" [ "(a, 40, 2)"; "(b, 20, 1)" ]
@@ -54,11 +54,11 @@ let test_embedded_pk_moving_update () =
 let test_embedded_multi_row_insert () =
   let db, ext, v = embedded () in
   expect_sql_error "INSERT with a duplicate last row" (fun () ->
-      Runner.exec_ext ext
+      Util.exec_ext ext
         "INSERT INTO t VALUES (7, 'x', 1), (8, 'y', 2), (1, 'dup', 0)");
   Util.check_rows ~msg:"no row kept" db "SELECT * FROM t" seed_rows;
   check_view v;
-  ignore (Runner.exec_ext ext "INSERT INTO t VALUES (7, 'x', 1)");
+  ignore (Util.exec_ext ext "INSERT INTO t VALUES (7, 'x', 1)");
   check_view ~msg:"view = recompute after a later insert" v
 
 let test_store_exec_failed_update () =
@@ -78,6 +78,32 @@ let test_store_exec_failed_update () =
         (Store.verify reopened);
       Store.close reopened)
 
+(* DROP TABLE of a maintained view is logged like any statement: no view
+   comes back on reopen, whether the drop is replayed from the WAL or
+   folded into a checkpoint. *)
+let test_store_dropped_view_stays_dropped () =
+  List.iter
+    (fun checkpoint ->
+       Test_store.with_temp_dir (fun dir ->
+           let st = Store.open_ ~dir () in
+           List.iter
+             (fun sql -> ignore (Store.exec st sql))
+             [ t_ddl; t_seed; s_view; "DROP TABLE s" ];
+           if checkpoint then ignore (Store.checkpoint st);
+           Store.close st;
+           let reopened = Store.open_ ~dir () in
+           let what = if checkpoint then "after a checkpoint" else "by replay" in
+           Alcotest.(check bool) ("records replayed " ^ what) (not checkpoint)
+             ((Store.last_recovery reopened).Store.replayed > 0);
+           Alcotest.(check (list string)) ("no view " ^ what) []
+             (List.map Runner.view_name (Store.views reopened));
+           Alcotest.(check (list string)) ("no registered view " ^ what) []
+             (Catalog.mat_view_names (Database.catalog (Store.db reopened)));
+           Util.check_rows ~msg:("base table " ^ what) (Store.db reopened)
+             "SELECT id FROM t" [ "(1)"; "(2)"; "(3)" ];
+           Store.close reopened))
+    [ false; true ]
+
 (* --- scheduler units: statement k of n fails ----------------------- *)
 
 (* 200 rows over five groups, with a secondary ART index on [grp] *)
@@ -94,7 +120,10 @@ let seeded_scheduler refresh =
   Util.exec db ("INSERT INTO t VALUES " ^ String.concat ", " values);
   let ext = Runner.load ~flags:{ Flags.default with Flags.refresh } db in
   let sched = Scheduler.create ext in
-  (match Scheduler.exec_unit sched ~session_id:1 ~tenant:"setup" [ s_view ] with
+  (match
+     Scheduler.exec_unit sched ~session_id:1 ~tenant:"setup"
+       [ Util.unit_stmt s_view ]
+   with
    | `Outcome (Scheduler.Applied _) -> ()
    | _ -> Alcotest.fail "view install failed");
   (db, ext, sched)
@@ -140,7 +169,10 @@ let check_indexes ~msg db ~absent_ids =
     groups
 
 let run_unit sched stmts =
-  match Scheduler.exec_unit sched ~session_id:2 ~tenant:"t" stmts with
+  match
+    Scheduler.exec_unit sched ~session_id:2 ~tenant:"t"
+      (List.map Util.unit_stmt stmts)
+  with
   | `Outcome o -> o
   | `Overloaded r -> Alcotest.failf "unit bounced: %s" r
 
@@ -312,17 +344,17 @@ let test_nested_savepoint () =
   let db, ext, v = embedded () in
   let exception Abort in
   Runner.atomically ext (fun () ->
-      ignore (Runner.exec_ext ext "INSERT INTO t VALUES (4, 'b', 40)");
+      ignore (Util.exec_ext ext "INSERT INTO t VALUES (4, 'b', 40)");
       let pending = v.Runner.pending_deltas in
       (try
          Runner.atomically ext (fun () ->
-             ignore (Runner.exec_ext ext "INSERT INTO t VALUES (5, 'c', 50)");
-             ignore (Runner.exec_ext ext "DELETE FROM t WHERE grp = 'a'");
+             ignore (Util.exec_ext ext "INSERT INTO t VALUES (5, 'c', 50)");
+             ignore (Util.exec_ext ext "DELETE FROM t WHERE grp = 'a'");
              raise Abort)
        with Abort -> ());
       Alcotest.(check int) "inner rollback restores the counter" pending
         v.Runner.pending_deltas;
-      ignore (Runner.exec_ext ext "INSERT INTO t VALUES (6, 'c', 60)"));
+      ignore (Util.exec_ext ext "INSERT INTO t VALUES (6, 'c', 60)"));
   Util.check_rows ~msg:"outer kept, inner reverted" db "SELECT id FROM t"
     [ "(1)"; "(2)"; "(3)"; "(4)"; "(6)" ];
   check_view v;
@@ -330,7 +362,7 @@ let test_nested_savepoint () =
   (try
      Runner.atomically ext (fun () ->
          Runner.atomically ext (fun () ->
-             ignore (Runner.exec_ext ext "INSERT INTO t VALUES (7, 'd', 70)"));
+             ignore (Util.exec_ext ext "INSERT INTO t VALUES (7, 'd', 70)"));
          raise Abort)
    with Abort -> ());
   Util.check_rows ~msg:"inner commit reverted by the outer rollback" db
@@ -344,6 +376,8 @@ let suite =
       test_embedded_multi_row_insert;
     Util.tc "Store.exec: a failing UPDATE leaves what recovery finds"
       test_store_exec_failed_update;
+    Util.tc "Store.exec: a dropped view stays dropped on reopen"
+      test_store_dropped_view_stays_dropped;
     Util.tc "scheduler unit failing at statement k reverts rows, PK, ART, view"
       test_unit_matrix;
     Util.tc "compaction waits for the unit to commit" test_compaction_waits_for_commit;

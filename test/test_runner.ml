@@ -225,14 +225,22 @@ let suite =
           Util.exec db "INSERT INTO groups VALUES ('a', 1)");
       Util.tc "runner exec intercepts CREATE MATERIALIZED VIEW" (fun () ->
           let db = Util.db_with schema in
+          let ext = Openivm.Runner.load db in
           (match
-             Openivm.Runner.exec db
+             Util.exec_ext ext
                "CREATE MATERIALIZED VIEW v AS SELECT COUNT(*) AS n FROM groups"
            with
-           | `Installed _ -> ()
+           | `Installed v ->
+             Alcotest.(check (list string)) "registered" [ "v" ]
+               (List.map Openivm.Runner.view_name
+                  ext.Openivm.Runner.ext_views);
+             Util.check_view_consistent db v
            | `Result _ -> Alcotest.fail "expected installation");
-          match Openivm.Runner.exec db "SELECT n FROM v" with
-          | `Result (Database.Rows _) -> ()
+          Util.exec db "INSERT INTO groups VALUES ('z', 1)";
+          match Util.exec_ext ext "SELECT n FROM v" with
+          | `Result (Database.Rows r) ->
+            Alcotest.(check (list string)) "lazy view refreshed on read"
+              [ "(1)" ] (Util.rows_of r)
           | _ -> Alcotest.fail "expected rows");
       Util.tc "scripts are stored on disk when requested" (fun () ->
           let dir = Filename.temp_file "openivm" "" in

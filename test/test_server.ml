@@ -38,6 +38,13 @@ let expect_rows = function
     Alcotest.failf "expected Rows, got Failed [%s] %s" code message
   | _ -> Alcotest.fail "expected Rows reply"
 
+(* The message of a [Failed] reply with [code]. *)
+let expect_failed code = function
+  | Session.Failed { code = c; message } when c = code -> message
+  | Session.Failed { code = c; message } ->
+    Alcotest.failf "expected Failed [%s], got Failed [%s] %s" code c message
+  | _ -> Alcotest.failf "expected a Failed [%s] reply" code
+
 let find_view ext name =
   match Openivm.Runner.find_view ext name with
   | Some v -> v
@@ -57,6 +64,37 @@ let test_single_session_roundtrip () =
   let st = Scheduler.stats sched in
   Alcotest.(check bool) "ticks ran" true (st.Scheduler.ticks >= 2);
   Alcotest.(check int) "units applied" 2 st.Scheduler.units_applied;
+  (* every dispatch arm a statement can reach through a session *)
+  let answers what code ~suffix reply =
+    let msg = expect_failed code reply in
+    Alcotest.(check bool) (what ^ ": " ^ msg) true
+      (String.ends_with ~suffix msg)
+  in
+  let refused what diag reply =
+    let msg = expect_failed "SQL" reply in
+    Alcotest.(check bool) (what ^ ": " ^ msg) true
+      (String.starts_with ~prefix:diag msg)
+  in
+  answers "bad keyword" "PARSE" ~suffix:"(at 0)" (Session.exec s "SELEC 1");
+  answers "unterminated string" "LEX" ~suffix:"(at 7)"
+    (Session.exec s "SELECT 'abc FROM t");
+  refused "DML on a view's backing table" "IVM203"
+    (Session.exec s "INSERT INTO totals VALUES ('z', 1, 1)");
+  ignore (expect_msg (Session.exec s "BEGIN"));
+  ignore (Session.exec s "INSERT INTO g VALUES ('b', 1)");
+  ignore (Session.exec s "INSERT INTO totals VALUES ('z', 1, 1)");
+  refused "the same as a transaction's second statement" "IVM203"
+    (Session.exec s "COMMIT");
+  Alcotest.(check (list string)) "which rolled back the first" [ "(a, 5)" ]
+    (expect_rows (Session.exec s "SELECT k, v FROM g"));
+  refused "dropping a table a view reads" "IVM202"
+    (Session.exec s "DROP TABLE g");
+  ignore (expect_affected (Session.exec s "DROP TABLE totals"));
+  Alcotest.(check string) "re-created under the same name" "installed totals"
+    (expect_msg (Session.exec s totals_ddl));
+  ignore (expect_affected (Session.exec s "INSERT INTO g VALUES ('a', 2)"));
+  Alcotest.(check (list string)) "and it refreshes" [ "(a, 7, 2)" ]
+    (expect_rows (Session.exec s "SELECT k, total, n FROM totals"));
   Session.close s
 
 let test_consolidated_tick () =
@@ -71,11 +109,11 @@ let test_consolidated_tick () =
      units must land in the same tick *)
   let t1 =
     Scheduler.submit sched ~session_id:(Session.id s1) ~tenant:"acme"
-      [ "INSERT INTO g VALUES ('x', 1)" ]
+      [ Util.unit_stmt "INSERT INTO g VALUES ('x', 1)" ]
   in
   let t2 =
     Scheduler.submit sched ~session_id:(Session.id s2) ~tenant:"globex"
-      [ "INSERT INTO g VALUES ('x', 2)" ]
+      [ Util.unit_stmt "INSERT INTO g VALUES ('x', 2)" ]
   in
   let ticket = function
     | Scheduler.Queued u -> u
@@ -111,7 +149,7 @@ let test_rollback_preserves_other_sessions_deltas () =
   let rt =
     match
       Scheduler.submit sched ~session_id:(Session.id reader) ~tenant:"r"
-        [ "INSERT INTO g VALUES ('b', 7)" ]
+        [ Util.unit_stmt "INSERT INTO g VALUES ('b', 7)" ]
     with
     | Scheduler.Queued u -> u
     | Scheduler.Rejected r -> Alcotest.failf "rejected: %s" r
@@ -154,7 +192,7 @@ let test_quota_overloaded () =
   let sched = Scheduler.create ~quota ext in
   let submit tenant =
     Scheduler.submit sched ~session_id:1 ~tenant
-      [ "INSERT INTO g VALUES ('q', 1)" ]
+      [ Util.unit_stmt "INSERT INTO g VALUES ('q', 1)" ]
   in
   (match submit "acme" with
    | Scheduler.Queued _ -> ()

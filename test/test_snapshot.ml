@@ -173,7 +173,7 @@ let suite =
         let ext = Openivm.Runner.load ~flags:eager db in
         let v =
           match
-            Openivm.Runner.exec_ext ext
+            Util.exec_ext ext
               "CREATE MATERIALIZED VIEW qg AS SELECT group_index, \
                SUM(group_value) AS s FROM groups GROUP BY group_index"
           with
@@ -193,7 +193,7 @@ let suite =
                     Util.exec db "INSERT INTO audit VALUES (1)";
                     raise Abort)
               with Abort -> ());
-        ignore (Openivm.Runner.exec_ext ext "INSERT INTO groups VALUES ('b', 2)");
+        ignore (Util.exec_ext ext "INSERT INTO groups VALUES ('b', 2)");
         Alcotest.(check int) "the eager refresh had been queued" 1
           !saw_deferred;
         Alcotest.(check int) "rollback dropped it" 0

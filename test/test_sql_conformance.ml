@@ -97,6 +97,33 @@ let suite =
          let d = db () in
          Util.exec d "UPDATE n SET b = NULL WHERE a = 1";
          Util.check_scalar d "SELECT COUNT(b) FROM n" "2");
+    Util.tc "update to null refused on a NOT NULL column"
+      (fun () ->
+         let d =
+           Util.db_with
+             [ "CREATE TABLE w(a INTEGER, b VARCHAR NOT NULL)";
+               "INSERT INTO w VALUES (1, 'x'), (2, 'y')";
+               "CREATE TABLE t(a INTEGER PRIMARY KEY, b INTEGER)";
+               "INSERT INTO t VALUES (1, 10)";
+               "CREATE TABLE u(k INTEGER PRIMARY KEY, b VARCHAR NOT NULL)";
+               "INSERT INTO u VALUES (1, 'x'), (2, 'y')" ]
+         in
+         let refused sql =
+           match Database.exec d sql with
+           | exception Error.Sql_error _ -> ()
+           | _ -> Alcotest.failf "%s: expected a NOT NULL error" sql
+         in
+         refused "UPDATE w SET b = NULL";
+         Util.check_scalar d "SELECT COUNT(b) FROM w" "2";
+         refused "INSERT INTO t VALUES (NULL, 20)";
+         refused "UPDATE t SET a = NULL";
+         Util.check_rows d "SELECT a, b FROM t" [ "(1, 10)" ];
+         (* a WHERE on the key takes the index path: the refused row
+            must still be there afterwards *)
+         refused "UPDATE t SET a = NULL WHERE a = 1";
+         Util.check_rows d "SELECT a, b FROM t" [ "(1, 10)" ];
+         refused "UPDATE u SET b = NULL WHERE k = 1";
+         Util.check_rows d "SELECT k, b FROM u ORDER BY k" [ "(1, x)"; "(2, y)" ]);
     (* limits and offsets *)
     Util.tc "limit zero yields nothing" (scalar "SELECT COUNT(*) FROM (SELECT a FROM n LIMIT 0) AS q" "0");
     Util.tc "offset beyond end yields nothing"

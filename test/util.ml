@@ -39,3 +39,12 @@ let check_view_consistent ?(msg = "view = recompute") db v =
   Alcotest.(check (list string)) msg (view_reference db v) (view_visible v)
 
 let tc name f = Alcotest.test_case name `Quick f
+
+(** {!Openivm.Runner.exec_ext} on SQL text: parse, then execute. *)
+let exec_ext ext sql =
+  Openivm.Runner.exec_ext ext (Openivm_sql.Parser.parse_statement sql)
+
+(** One statement of a scheduler unit, parsed from its text. *)
+let unit_stmt sql =
+  { Openivm_server.Scheduler.ast = Openivm_sql.Parser.parse_statement sql;
+    sql }
