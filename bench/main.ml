@@ -488,7 +488,7 @@ let e4c () =
                     (Printf.sprintf "INSERT INTO groups VALUES ('g%05d', %d)"
                        (i mod 1000) i));
                incr staleness_samples;
-               staleness_total := !staleness_total + v.Openivm.Runner.pending_deltas;
+               staleness_total := !staleness_total + Openivm.Runner.pending_deltas v;
                if (i + 1) mod every = 0 then Openivm.Runner.force_refresh v
              done;
              Openivm.Runner.refresh v)
@@ -720,6 +720,7 @@ type refresh_result = {
   r_min : float;
   r_max : float;
   r_converged : bool;
+  r_extra : (string * float) list;  (** more numbers for the row *)
 }
 
 let refresh_json results =
@@ -739,9 +740,13 @@ let refresh_json results =
        Printf.bprintf b
          "    {\"shape\": %S, \"strategy\": %S, \"median_seconds\": \
           %.9f, \"min_seconds\": %.9f, \"max_seconds\": %.9f, \
-          \"converged\": %b}%s\n"
+          \"converged\": %b%s}%s\n"
          r.r_shape r.r_strategy r.r_median r.r_min r.r_max
          r.r_converged
+         (String.concat ""
+            (List.map
+               (fun (k, x) -> Printf.sprintf ", \"%s\": %.2f" k x)
+               r.r_extra))
          (if i = List.length results - 1 then "" else ","))
     results;
   Buffer.add_string b "  ]\n}\n";
@@ -840,7 +845,7 @@ let recovery_results () : refresh_result list =
           r_median = median times;
           r_min = List.fold_left min infinity times;
           r_max = List.fold_left max neg_infinity times;
-          r_converged = converged }
+          r_converged = converged; r_extra = [] }
       in
       [ mk "cold_start" cold_times !cold_converged;
         mk "wal_replay" replay_times replay_converged;
@@ -853,12 +858,16 @@ let recovery_results () : refresh_result list =
    single-writer scheduler by 1, 4 and 16 concurrent session threads;
    the measured wall clock covers submission through drain (every view
    refreshed). One session replays the units back-to-back — each await
-   runs its own tick — while 16 sessions pile units into shared ticks
-   and the propagation folds them consolidated. Divergence-gated like
-   every other row: after each rep, every view must agree with a full
-   recompute. *)
+   runs its own tick — while 16 sessions pile units into shared ticks.
+   Under [Lazy] the view folds every unit in one refresh at drain, so
+   the time is thread start and lock hand-off; under [Eager]
+   ([multi_session_churn_eager]) every tick ends with a refresh, so the
+   time follows how many ticks the units shared. Each row carries the
+   mean ticks per rep and units per tick, from [Scheduler.stats].
+   Divergence-gated like every other row: after each rep, every view
+   must agree with a full recompute. *)
 
-let multi_session_results () : refresh_result list =
+let multi_session_results refresh : refresh_result list =
   let module Scheduler = Openivm_server.Scheduler in
   let module Session = Openivm_server.Session in
   let base, _ = refresh_sizes () in
@@ -881,9 +890,7 @@ let multi_session_results () : refresh_result list =
     let db = Database.create () in
     ignore (Database.exec db Datagen.groups_ddl);
     Datagen.populate_groups ~domain db (Datagen.create ~seed:42 ()) ~rows:base;
-    let flags =
-      { Openivm.Flags.default with Openivm.Flags.refresh = Openivm.Flags.Lazy }
-    in
+    let flags = { Openivm.Flags.default with Openivm.Flags.refresh } in
     let ext = Openivm.Runner.load ~flags db in
     let sched = Scheduler.create ext in
     let setup = Session.create sched ~tenant:"bench" in
@@ -893,6 +900,7 @@ let multi_session_results () : refresh_result list =
     Session.close setup;
     let ok = ref true in
     let per = total_units / n_sessions in
+    let s0 = Scheduler.stats sched in
     let t =
       time_unit (fun () ->
           let threads =
@@ -914,6 +922,7 @@ let multi_session_results () : refresh_result list =
           List.iter Thread.join threads;
           Scheduler.drain sched)
     in
+    let s1 = Scheduler.stats sched in
     let converged =
       !ok
       && List.for_all
@@ -921,18 +930,31 @@ let multi_session_results () : refresh_result list =
               Openivm.Runner.visible_rows v = Openivm.Runner.recompute_rows v)
            ext.Openivm.Runner.ext_views
     in
-    (t, converged)
+    (t, converged, s1.Scheduler.ticks - s0.Scheduler.ticks,
+     s1.Scheduler.units_applied - s0.Scheduler.units_applied)
+  in
+  let shape =
+    match refresh with
+    | Openivm.Flags.Lazy -> "multi_session_churn"
+    | Openivm.Flags.Eager -> "multi_session_churn_eager"
   in
   List.map
     (fun n ->
        let runs = List.init reps (fun _ -> run n) in
-       let times = List.map fst runs in
-       { r_shape = "multi_session_churn";
+       let times = List.map (fun (t, _, _, _) -> t) runs in
+       let sum f = List.fold_left (fun acc r -> acc + f r) 0 runs in
+       let ticks = sum (fun (_, _, k, _) -> k)
+       and units = sum (fun (_, _, _, u) -> u) in
+       { r_shape = shape;
          r_strategy = Printf.sprintf "sessions_%d" n;
          r_median = median times;
          r_min = List.fold_left min infinity times;
          r_max = List.fold_left max neg_infinity times;
-         r_converged = List.for_all snd runs })
+         r_converged = List.for_all (fun (_, c, _, _) -> c) runs;
+         r_extra =
+           [ ("ticks", float_of_int ticks /. float_of_int reps);
+             ("units_per_tick",
+              float_of_int units /. float_of_int (max 1 ticks)) ] })
     [ 1; 4; 16 ]
 
 let refresh_bench () =
@@ -1006,7 +1028,7 @@ let refresh_bench () =
                     r_median = median times;
                     r_min = List.fold_left min infinity times;
                     r_max = List.fold_left max neg_infinity times;
-                    r_converged = converged }
+                    r_converged = converged; r_extra = [] }
                   :: !results;
                 pp_duration (median times))
            refresh_strategies
@@ -1024,12 +1046,16 @@ let refresh_bench () =
        if not r.r_converged then
          diverged := (r.r_shape, r.r_strategy) :: !diverged)
     recovery;
-  (* the serving-layer scaling rows ride along too: shape
-     "multi_session_churn", one strategy slot per session count *)
-  let multi = multi_session_results () in
+  (* the serving-layer scaling rows ride along too: shapes
+     "multi_session_churn" (lazy) and "multi_session_churn_eager", one
+     strategy slot per session count *)
+  let multi =
+    multi_session_results Openivm.Flags.Lazy
+    @ multi_session_results Openivm.Flags.Eager
+  in
   List.iter
     (fun r ->
-       Printf.printf "multi_session/%-12s %s\n" r.r_strategy
+       Printf.printf "%s/%-12s %s\n" r.r_shape r.r_strategy
          (pp_duration r.r_median);
        if not r.r_converged then
          diverged := (r.r_shape, r.r_strategy) :: !diverged)

@@ -41,7 +41,7 @@ let handle_dot (ext : Openivm.Runner.extension) line =
       (fun v ->
          Printf.printf "%s  (pending deltas: %d, refreshes: %d)\n"
            (Openivm.Runner.view_name v)
-           v.Openivm.Runner.pending_deltas v.Openivm.Runner.refresh_count)
+           (Openivm.Runner.pending_deltas v) v.Openivm.Runner.refresh_count)
       ext.Openivm.Runner.ext_views
   | ".plan" :: rest ->
     let sql = String.concat " " rest in

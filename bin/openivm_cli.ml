@@ -790,11 +790,7 @@ let serve_action port socket host schema_file init_file strategy eager
                List.fold_left
                  (fun acc stmt ->
                     let* () = acc in
-                    let sql =
-                      Openivm_sql.Pretty.stmt_to_sql Openivm_sql.Dialect.minidb
-                        stmt
-                    in
-                    match Srv.Session.exec s sql with
+                    match Srv.Session.exec_stmt s stmt with
                     | Srv.Session.Failed { code; message } ->
                       Error (Printf.sprintf "init script: [%s] %s" code message)
                     | Srv.Session.Overloaded reason ->

@@ -14,7 +14,8 @@ open Openivm_engine
 type view = {
   compiled : Compiler.t;
   db : Database.t;
-  mutable pending_deltas : int;   (** delta rows captured since last refresh *)
+  deltas : (string * Table.t) list;
+      (** each base table's delta table, resolved once at install *)
   mutable refresh_count : int;
   mutable refresh_time : float;   (** total seconds spent propagating *)
   mutable capture_enabled : bool;
@@ -40,6 +41,12 @@ let rec dag_level v =
 let exec_stmts db stmts =
   List.iter (fun stmt -> ignore (Database.exec_stmt db stmt)) stmts
 
+(** The delta rows the view has not folded yet: the rows of its delta
+    tables. The undo journal reverts those rows, so a rolled-back unit
+    reverts this count with them. *)
+let pending_deltas v =
+  List.fold_left (fun n (_, delta) -> n + Table.row_count delta) 0 v.deltas
+
 (* --- delta capture --- *)
 
 (** Append changed rows into delta_T with the boolean multiplicity. Runs
@@ -50,16 +57,14 @@ let exec_stmts db stmts =
     the delta table's width. *)
 let capture v (base_table : string) (change : Trigger.change) =
   if v.capture_enabled then begin
-    let delta_name = Compiler.delta_table v.compiled base_table in
-    let delta = Catalog.find_table (Database.catalog v.db) delta_name in
+    let delta = List.assoc base_table v.deltas in
     let width = Table.arity delta - 1 in
     Trigger.without_hooks (Database.triggers v.db) (fun () ->
         let emit mult row =
           let row =
             if Array.length row = width then row else Array.sub row 0 width
           in
-          Table.insert delta (Array.append row [| Value.Bool mult |]);
-          v.pending_deltas <- v.pending_deltas + 1
+          Table.insert delta (Array.append row [| Value.Bool mult |])
         in
         List.iter (emit false) change.Trigger.deleted;
         List.iter (emit true) change.Trigger.inserted)
@@ -137,32 +142,23 @@ let consolidate v =
      plan never reads its deltas (cleanup just discards them), so
      consolidating first would be pure overhead *)
   if v.compiled.Compiler.flags.Flags.consolidate_deltas
-     && v.pending_deltas > 1
      && v.compiled.Compiler.script.Propagate.kind <> Propagate.Full
+     && pending_deltas v > 1
   then
     Span.with_span "cascade.consolidate"
       ~attrs:[ ("view", Span.Str (view_name v)) ]
       (fun sp ->
-         let catalog = Database.catalog v.db in
-         let before = v.pending_deltas in
+         let before = pending_deltas v in
          let removed =
            Trigger.without_hooks (Database.triggers v.db) (fun () ->
                List.fold_left
-                 (fun acc base ->
-                    acc
-                    + consolidate_delta_table
-                        (Catalog.find_table catalog
-                           (Compiler.delta_table v.compiled base)))
-                 0
-                 (Compiler.base_tables v.compiled))
+                 (fun acc (_, delta) -> acc + consolidate_delta_table delta)
+                 0 v.deltas)
          in
-         if removed > 0 then begin
-           v.pending_deltas <- v.pending_deltas - removed;
-           Metrics.add m_consolidated_rows removed
-         end;
+         if removed > 0 then Metrics.add m_consolidated_rows removed;
          if sp != Span.none then begin
            Span.set_int sp "rows_before" before;
-           Span.set_int sp "rows_after" v.pending_deltas
+           Span.set_int sp "rows_after" (before - removed)
          end)
 
 (** One propagation step (paper §2 steps 1–4) under its own span, with
@@ -185,16 +181,14 @@ module Clock = Openivm_obs.Clock
     every fill term is linear in each delta it reads, so one empty input
     nullifies the term and skipping it saves a planned statement. *)
 let live_fill_stmts v =
-  let catalog = Database.catalog v.db in
   let fill = v.compiled.Compiler.script.Propagate.fill in
   let empty_deltas =
     List.filter_map
-      (fun base ->
-         let name = Compiler.delta_table v.compiled base in
-         match Catalog.find_table_opt catalog name with
-         | Some t when Table.row_count t = 0 -> Some name
-         | _ -> None)
-      (Compiler.base_tables v.compiled)
+      (fun (base, delta) ->
+         if Table.row_count delta = 0 then
+           Some (Compiler.delta_table v.compiled base)
+         else None)
+      v.deltas
   in
   if empty_deltas = [] then fill
   else
@@ -245,7 +239,7 @@ let rec force_refresh_local v =
       [ ("view", Span.Str (view_name v));
         ("strategy", Span.Str strategy);
         ("plan", Span.Str (Propagate.kind_to_string script.Propagate.kind));
-        ("pending_deltas", Span.Int v.pending_deltas);
+        ("pending_deltas", Span.Int (pending_deltas v));
         ("dag_level", Span.Int (dag_level v)) ]
     (fun _ ->
        v.in_refresh <- true;
@@ -254,13 +248,13 @@ let rec force_refresh_local v =
          (fun () ->
             with_bulk_distinct_hint v.db @@ fun () ->
             consolidate v;
+            let folded = pending_deltas v in
             run_step v "fill" (live_fill_stmts v);
             run_step v "combine" script.Propagate.combine;
             run_step v "prune" script.Propagate.prune;
             run_step v "cleanup" script.Propagate.cleanup;
             Metrics.incr (m_refresh_total strategy);
-            Metrics.add m_delta_rows_folded v.pending_deltas;
-            v.pending_deltas <- 0;
+            Metrics.add m_delta_rows_folded folded;
             v.refresh_count <- v.refresh_count + 1;
             let dt = Clock.now () -. t0 in
             Metrics.observe (m_refresh_seconds strategy) dt;
@@ -292,9 +286,7 @@ and refresh_upstreams v =
 and refresh v =
   if not v.in_refresh then begin
     refresh_upstreams v;
-    if v.pending_deltas > 0
-       || v.compiled.Compiler.script.Propagate.kind = Propagate.Full
-    then force_refresh_local v
+    if pending_deltas v > 0 then force_refresh_local v
   end
 
 let force_refresh v =
@@ -320,27 +312,18 @@ let rec reinitialize v =
   with_bulk_distinct_hint v.db @@ fun () ->
   Trigger.without_hooks (Database.triggers v.db) (fun () ->
       ignore (Table.truncate (Catalog.find_table catalog (view_name v)));
-      List.iter
-        (fun base ->
-           ignore
-             (Table.truncate
-                (Catalog.find_table catalog
-                   (Compiler.delta_table v.compiled base))))
-        (Compiler.base_tables v.compiled);
+      List.iter (fun (_, delta) -> ignore (Table.truncate delta)) v.deltas;
       exec_stmts v.db [ v.compiled.Compiler.initial_load ]);
-  v.pending_deltas <- 0;
   (* the rebuild ran hook-free, so dependents saw none of it: rebuild
      them too, in DAG order (each reads its freshly rebuilt upstream) *)
   List.iter reinitialize v.downstreams
 
-(** Query the view, honoring the refresh mode (lazy refresh-on-read).
-    A view with upstreams always pulls first: an eager view over a lazy
-    upstream would otherwise never observe the upstream's pending
-    deltas. *)
+(** Query the view after folding whatever it has pending: a lazy view's
+    deltas, an upstream's, or rows a bridge landed in its delta tables.
+    An eager view over base tables has nothing pending, so for it the
+    refresh returns at once. *)
 let query v (sql : string) : Database.query_result =
-  (match v.compiled.Compiler.flags.Flags.refresh with
-   | Flags.Lazy -> refresh v
-   | Flags.Eager -> if v.upstreams <> [] then refresh v);
+  refresh v;
   Database.query v.db sql
 
 let contents ?(order_by = "") v : Database.query_result =
@@ -446,8 +429,16 @@ let install_with ~registry ~load (db : Database.t) compile : view =
       mat_visible = Shape.visible_names shape;
       mat_flat = not (Shape.has_aggregates shape);
       mat_depends_on = Compiler.base_tables compiled };
+  let deltas =
+    List.map
+      (fun base ->
+         ( base,
+           Catalog.find_table (Database.catalog db)
+             (Compiler.delta_table compiled base) ))
+      (Compiler.base_tables compiled)
+  in
   let v =
-    { compiled; db; pending_deltas = 0; refresh_count = 0;
+    { compiled; db; deltas; refresh_count = 0;
       refresh_time = 0.0; capture_enabled = true;
       upstreams = []; downstreams = []; in_refresh = false }
   in
@@ -478,6 +469,11 @@ let install ?(flags = Flags.default) ?(registry = []) ?(load = `Immediate)
     (db : Database.t) (sql : string) : view =
   install_with ~registry ~load db (fun () ->
       Compiler.compile ~flags (Database.catalog db) sql)
+
+let install_select ?(flags = Flags.default) ?(registry = []) (db : Database.t)
+    ~view_name (query : Ast.select) : view =
+  install_with ~registry ~load:`Immediate db (fun () ->
+      Compiler.compile_select ~flags (Database.catalog db) ~view_name query)
 
 (* --- staged backfill (the durable store's resumable initial load) --- *)
 
@@ -528,12 +524,8 @@ let backfill_chunk v ~chunk_rows ~index =
          0
        end
        else begin
-         let catalog = Database.catalog v.db in
-         let base = List.hd (Compiler.base_tables v.compiled) in
-         let base_tbl = Catalog.find_table catalog base in
-         let delta =
-           Catalog.find_table catalog (Compiler.delta_table v.compiled base)
-         in
+         let base, delta = List.hd v.deltas in
+         let base_tbl = Catalog.find_table (Database.catalog v.db) base in
          let width = Table.arity delta - 1 in
          let rows = Table.to_rows base_tbl in
          let lo = index * chunk_rows in
@@ -547,8 +539,7 @@ let backfill_chunk v ~chunk_rows ~index =
                     if Array.length row = width then row
                     else Array.sub row 0 width
                   in
-                  Table.insert delta (Array.append row [| Value.Bool true |]);
-                  v.pending_deltas <- v.pending_deltas + 1)
+                  Table.insert delta (Array.append row [| Value.Bool true |]))
                chunk);
          force_refresh_local v;
          List.length chunk
@@ -627,44 +618,29 @@ let refresh_tick ?(only = fun _ -> true) (ext : extension) : int =
        else ran)
     0 views
 
-(** Refresh every lazily-maintained view a query touches — the engine-side
+(** Refresh every maintained view a query touches — the engine-side
     counterpart of the paper's "implicitly calling a table function,
-    adding a dummy node to the plan of the original query". *)
+    adding a dummy node to the plan of the original query". A view with
+    nothing pending returns at once. *)
 let refresh_for_query ext (q : Ast.select) =
   let touched = Ast.select_tables q in
   List.iter
-    (fun v ->
-       if (v.compiled.Compiler.flags.Flags.refresh = Flags.Lazy
-           || v.upstreams <> [])
-          && List.mem (view_name v) touched
-       then refresh v)
+    (fun v -> if List.mem (view_name v) touched then refresh v)
     ext.ext_views
-
-(** {!Database.atomically} plus the views' delta counters: a rolled-back
-    unit also leaves every view's [pending_deltas] where it found it. *)
-let atomically (ext : extension) f =
-  let saved = List.map (fun v -> (v, v.pending_deltas)) ext.ext_views in
-  try Database.atomically ext.ext_db f
-  with e ->
-    let bt = Printexc.get_raw_backtrace () in
-    List.iter (fun (v, n) -> v.pending_deltas <- n) saved;
-    Printexc.raise_with_backtrace e bt
 
 (** Execute a parsed statement with the OpenIVM extension active: the
     fall-back parser path of the paper, and the one place that decides
     which statements the extension intercepts — [CREATE MATERIALIZED
     VIEW] is compiled from the query it holds; SELECTs over maintained
-    views refresh them first; DML runs all-or-nothing; everything else
-    goes to the engine untouched. *)
+    views refresh them first; everything else goes to the engine
+    untouched, whose DML is all-or-nothing. *)
 let exec_ext (ext : extension) (stmt : Ast.stmt) :
   [ `Result of Database.exec_result | `Installed of view ] =
   match stmt with
   | Ast.Create_view { view; materialized = true; query } ->
     let v =
-      install_with ~registry:ext.ext_views ~load:`Immediate ext.ext_db
-        (fun () ->
-           Compiler.compile_select ~flags:ext.ext_flags
-             (Database.catalog ext.ext_db) ~view_name:view query)
+      install_select ~flags:ext.ext_flags ~registry:ext.ext_views ext.ext_db
+        ~view_name:view query
     in
     ext.ext_views <- v :: ext.ext_views;
     `Installed v
@@ -693,8 +669,4 @@ let exec_ext (ext : extension) (stmt : Ast.stmt) :
     let d = Openivm_sql.Diagnostic.cascade_dml_on_view ~view:table () in
     Error.fail "%s: %s" d.Openivm_sql.Diagnostic.code
       d.Openivm_sql.Diagnostic.message
-  | Ast.Insert _ | Ast.Update _ | Ast.Delete _ | Ast.Truncate _ ->
-    (* a statement that fails part-way (a duplicate key on its third row)
-       leaves neither rows nor deltas behind *)
-    atomically ext (fun () -> `Result (Database.exec_stmt ext.ext_db stmt))
   | _ -> `Result (Database.exec_stmt ext.ext_db stmt)

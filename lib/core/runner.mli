@@ -11,7 +11,8 @@ open Openivm_engine
 type view = {
   compiled : Compiler.t;
   db : Database.t;
-  mutable pending_deltas : int;
+  deltas : (string * Table.t) list;
+      (** each base table with its delta table, resolved once at install *)
   mutable refresh_count : int;
   mutable refresh_time : float;
       (** total seconds spent propagating, measured through the
@@ -30,6 +31,12 @@ val view_name : view -> string
 val dag_level : view -> int
 (** 0 for a view over base tables only; 1 + deepest upstream otherwise. *)
 
+val pending_deltas : view -> int
+(** The delta rows not yet folded into the view: the summed row count of
+    its delta tables. There is no second copy to keep in step: a refresh
+    empties the tables, and a rolled-back unit reverts their rows, and so
+    this count, through the undo journal. *)
+
 val install :
   ?flags:Flags.t -> ?registry:view list ->
   ?load:[ `Immediate | `Deferred | `Attach ] ->
@@ -47,6 +54,13 @@ val install :
     [`Attach] skips DDL and load entirely — the tables were restored
     from a checkpoint — and only compiles, registers and re-arms
     capture triggers. *)
+
+val install_select :
+  ?flags:Flags.t -> ?registry:view list -> Database.t ->
+  view_name:string -> Openivm_sql.Ast.select -> view
+(** {!install} with an immediate load, from the already-parsed query of
+    a [CREATE MATERIALIZED VIEW view_name AS query]: nothing is parsed
+    again. *)
 
 (** {1 Staged backfill}
 
@@ -77,7 +91,9 @@ val uninstall : view -> unit
 
 val refresh : view -> unit
 (** Refresh upstream views first (topological pull), then run the
-    propagation script if deltas are pending. Eager downstream views are
+    propagation script if {!pending_deltas} is not 0; a refresh whose
+    delta tables are empty returns at once, whatever the plan (a
+    [Full_recompute] view included). Eager downstream views are
     refreshed in a post-pass. *)
 
 val force_refresh : view -> unit
@@ -85,12 +101,14 @@ val force_refresh : view -> unit
 
 val reinitialize : view -> unit
 (** Rebuild the view from the base tables as they stand now: truncate the
-    backing table and delta tables, rerun the initial load, reset pending
-    deltas. Capture triggers, metadata and compiled scripts stay in
+    backing table and delta tables (so nothing is pending), rerun the
+    initial load. Capture triggers, metadata and compiled scripts stay in
     place — the full-resync path of crash recovery. *)
 
 val query : view -> string -> Database.query_result
-(** Query through the view's refresh policy (lazy refresh-on-read). *)
+(** {!refresh}, then run the query: a lazy view folds its deltas on
+    read, and an eager one has nothing pending unless rows arrived in its
+    delta tables by another path (a bridge batch). *)
 
 val contents : ?order_by:string -> view -> Database.query_result
 (** [SELECT * FROM view]. *)
@@ -98,7 +116,7 @@ val contents : ?order_by:string -> view -> Database.query_result
 val visible_rows : view -> string list
 (** The view's visible contents as sorted row strings: hidden bookkeeping
     columns stripped, flat views expanded from weighted form back to bag
-    semantics. Queries through the view's refresh policy. *)
+    semantics. Refreshes first, through {!query}. *)
 
 val recompute_rows : view -> string list
 (** Rerun the defining query from scratch against the current base tables,
@@ -124,10 +142,10 @@ val refresh_tick : ?only:(view -> bool) -> extension -> int
     tick fold in one consolidated propagation per view. Returns how many
     views actually propagated. *)
 
-val atomically : extension -> (unit -> 'a) -> 'a
-(** {!Database.atomically} on the extension's database that also restores
-    every view's [pending_deltas] when [f] raises. A nested call is a
-    savepoint. *)
+val refresh_for_query : extension -> Openivm_sql.Ast.select -> unit
+(** {!refresh} every maintained view the query reads. A view with empty
+    delta tables returns at once, so a read after a refresh costs a row
+    count per delta table. *)
 
 val exec_ext :
   extension -> Openivm_sql.Ast.stmt ->
@@ -139,6 +157,7 @@ val exec_ext :
     installed; SELECTs over maintained views refresh them first; [DROP
     TABLE v] on a maintained view uninstalls it; [DROP TABLE] of anything
     a maintained view reads raises IVM202; INSERT, UPDATE, DELETE and
-    TRUNCATE of a view's backing table raise IVM203, and of any other
-    table run inside {!atomically}, so a failing statement leaves no
-    rows, deltas or refreshes behind; everything else passes through. *)
+    TRUNCATE of a view's backing table raise IVM203. Everything else,
+    DML on any other table included, goes to {!Database.exec_stmt},
+    which runs each DML statement all-or-nothing: a failing one leaves
+    no rows, deltas or refreshes behind. *)

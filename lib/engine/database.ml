@@ -3,15 +3,11 @@
     — the stock engine the IVM compiler wraps and whose SQL it emits — and,
     in a second configuration, the role of the PostgreSQL OLTP side.
 
-    Profiling counters record per-statement-kind execution counts and
-    wall-clock time; the benchmark harness reads them to report the cost
-    split between delta capture, propagation and query answering. *)
+    Every INSERT, UPDATE, DELETE and TRUNCATE runs as one all-or-nothing
+    unit of the undo journal. The profile counts the rows statements read
+    and write; refresh spans attribute them per propagation step. *)
 
 type profile = {
-  mutable statements : int;
-  mutable select_time : float;
-  mutable dml_time : float;
-  mutable ddl_time : float;
   mutable rows_read : int;
   mutable rows_written : int;
 }
@@ -48,10 +44,7 @@ let create ?(name = "minidb") () = {
   name;
   catalog = Catalog.create ();
   triggers = Trigger.create ();
-  profile = {
-    statements = 0; select_time = 0.0; dml_time = 0.0; ddl_time = 0.0;
-    rows_read = 0; rows_written = 0;
-  };
+  profile = { rows_read = 0; rows_written = 0 };
   optimizer_enabled = true;
   statement_latency = 0.0;
   exec_engine = Exec.Row;
@@ -135,40 +128,58 @@ let create_table t ~table ~columns ~primary_key ~if_not_exists =
     Ok_msg (Printf.sprintf "created table %s" table)
   end
 
+(* --- units --- *)
+
+let atomically t f =
+  let sp = Table.savepoint t.journal in
+  match f () with
+  | r ->
+    Table.release t.journal sp;
+    r
+  | exception e ->
+    let bt = Printexc.get_raw_backtrace () in
+    Table.rollback_to t.journal sp;
+    (* the failed statement's queued refreshes must not fire later over
+       the reverted state *)
+    Trigger.clear_deferred t.triggers;
+    Printexc.raise_with_backtrace e bt
+
 (* --- statement dispatch --- *)
+
+let ddl f =
+  let r = f () in
+  Openivm_obs.Metrics.incr m_stmts_ddl;
+  r
+
+(* A statement that fails part-way (a duplicate key on its third row, a
+   PK-moving UPDATE that collides after deleting the row it moves) keeps
+   nothing: no rows, no captured deltas, no queued refreshes. *)
+let dml t (run : unit -> Dml.outcome) =
+  let o = atomically t run in
+  Openivm_obs.Metrics.incr m_stmts_dml;
+  o.Dml.affected
+
+let written t n =
+  t.profile.rows_written <- t.profile.rows_written + n;
+  Openivm_obs.Metrics.add m_rows_written n;
+  Affected n
 
 let rec exec_stmt t (stmt : Sql.Ast.stmt) : exec_result =
   simulate_latency t;
-  t.profile.statements <- t.profile.statements + 1;
-  let timed slot f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    let dt = Unix.gettimeofday () -. t0 in
-    (match slot with
-     | `Select ->
-       t.profile.select_time <- t.profile.select_time +. dt;
-       Openivm_obs.Metrics.incr m_stmts_select
-     | `Dml ->
-       t.profile.dml_time <- t.profile.dml_time +. dt;
-       Openivm_obs.Metrics.incr m_stmts_dml
-     | `Ddl ->
-       t.profile.ddl_time <- t.profile.ddl_time +. dt;
-       Openivm_obs.Metrics.incr m_stmts_ddl);
-    r
-  in
   match stmt with
   | Sql.Ast.Select_stmt s ->
-    timed `Select (fun () -> Rows (run_select t s))
+    let r = run_select t s in
+    Openivm_obs.Metrics.incr m_stmts_select;
+    Rows r
   | Sql.Ast.Create_table { table; columns; primary_key; if_not_exists } ->
-    timed `Ddl (fun () ->
-        create_table t ~table ~columns ~primary_key ~if_not_exists)
+    ddl (fun () -> create_table t ~table ~columns ~primary_key ~if_not_exists)
   | Sql.Ast.Create_view { view; materialized; query } ->
     if materialized then
       Error.fail
         "CREATE MATERIALIZED VIEW requires the OpenIVM extension (use \
          Openivm.Runner.install)"
     else
-      timed `Ddl (fun () ->
+      ddl (fun () ->
           (* validate by planning *)
           ignore (plan_select t query);
           Catalog.add_view t.catalog
@@ -176,7 +187,7 @@ let rec exec_stmt t (stmt : Sql.Ast.stmt) : exec_result =
               sql = Sql.Pretty.select_to_sql Sql.Dialect.minidb query };
           Ok_msg (Printf.sprintf "created view %s" view))
   | Sql.Ast.Create_index { index; table; columns; unique } ->
-    timed `Ddl (fun () ->
+    ddl (fun () ->
         let tbl = Catalog.find_table t.catalog table in
         let key_positions =
           Array.of_list
@@ -190,32 +201,21 @@ let rec exec_stmt t (stmt : Sql.Ast.stmt) : exec_result =
         ignore (Table.create_index tbl ~index_name:index ~key_positions ~unique);
         Ok_msg (Printf.sprintf "created index %s" index))
   | Sql.Ast.Insert { table; columns; source; on_conflict } ->
-    timed `Dml (fun () ->
-        let o =
-          Dml.exec_insert ~distinct_hint:t.bulk_distinct_hint t.catalog
-            t.triggers ~table ~columns ~source ~on_conflict
-        in
-        t.profile.rows_written <- t.profile.rows_written + o.Dml.affected;
-        Openivm_obs.Metrics.add m_rows_written o.Dml.affected;
-        Affected o.Dml.affected)
+    written t
+      (dml t (fun () ->
+           Dml.exec_insert ~distinct_hint:t.bulk_distinct_hint t.catalog
+             t.triggers ~table ~columns ~source ~on_conflict))
   | Sql.Ast.Update { table; assignments; where } ->
-    timed `Dml (fun () ->
-        let o = Dml.exec_update t.catalog t.triggers ~table ~assignments ~where in
-        t.profile.rows_written <- t.profile.rows_written + o.Dml.affected;
-        Openivm_obs.Metrics.add m_rows_written o.Dml.affected;
-        Affected o.Dml.affected)
+    written t
+      (dml t (fun () ->
+           Dml.exec_update t.catalog t.triggers ~table ~assignments ~where))
   | Sql.Ast.Delete { table; where } ->
-    timed `Dml (fun () ->
-        let o = Dml.exec_delete t.catalog t.triggers ~table ~where in
-        t.profile.rows_written <- t.profile.rows_written + o.Dml.affected;
-        Openivm_obs.Metrics.add m_rows_written o.Dml.affected;
-        Affected o.Dml.affected)
+    written t
+      (dml t (fun () -> Dml.exec_delete t.catalog t.triggers ~table ~where))
   | Sql.Ast.Truncate table ->
-    timed `Dml (fun () ->
-        let o = Dml.exec_truncate t.catalog t.triggers ~table in
-        Affected o.Dml.affected)
+    Affected (dml t (fun () -> Dml.exec_truncate t.catalog t.triggers ~table))
   | Sql.Ast.Drop { kind; name; if_exists } ->
-    timed `Ddl (fun () ->
+    ddl (fun () ->
         (match kind with
          | `Table -> Catalog.drop_table t.catalog name ~if_exists
          | `View -> Catalog.drop_view t.catalog name ~if_exists
@@ -233,22 +233,6 @@ let rec exec_stmt t (stmt : Sql.Ast.stmt) : exec_result =
     Error.fail
       "ROLLBACK is not supported here: each embedded statement commits on \
        its own (transactions need a server session)"
-
-(* --- units --- *)
-
-let atomically t f =
-  let sp = Table.savepoint t.journal in
-  match f () with
-  | r ->
-    Table.release t.journal sp;
-    r
-  | exception e ->
-    let bt = Printexc.get_raw_backtrace () in
-    Table.rollback_to t.journal sp;
-    (* the failed statement's queued refreshes must not fire later over
-       the reverted state *)
-    Trigger.clear_deferred t.triggers;
-    Printexc.raise_with_backtrace e bt
 
 (* --- string entry points --- *)
 

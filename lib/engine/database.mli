@@ -3,12 +3,8 @@
     second instance, with per-statement latency) the PostgreSQL role. *)
 
 type profile = {
-  mutable statements : int;
-  mutable select_time : float;
-  mutable dml_time : float;
-  mutable ddl_time : float;
-  mutable rows_read : int;
-  mutable rows_written : int;
+  mutable rows_read : int;  (** rows returned by SELECTs *)
+  mutable rows_written : int;  (** rows affected by INSERT, UPDATE, DELETE *)
 }
 
 type t = {
@@ -57,6 +53,16 @@ val plan_select : t -> Sql.Ast.select -> Plan.t
 val run_select : t -> Sql.Ast.select -> query_result
 
 val exec_stmt : t -> Sql.Ast.stmt -> exec_result
+(** Execute one parsed statement. INSERT, UPDATE, DELETE and TRUNCATE
+    each run inside {!atomically}: a statement that fails part-way (a
+    multi-row INSERT whose k-th row is a duplicate, a PK-moving UPDATE
+    that collides after deleting the row it moves, a NOT NULL or cast
+    failure on row k) reverts every row it wrote, every delta its
+    triggers captured and every refresh they ran, then re-raises. A
+    PK-moving UPDATE is checked row by row, as a non-deferrable key is
+    in PostgreSQL: if one new image collides, the statement fails whole.
+    Inside an open unit the statement is a savepoint. *)
+
 val exec : t -> string -> exec_result
 val exec_script : t -> string -> exec_result list
 
@@ -67,7 +73,9 @@ val atomically : t -> (unit -> 'a) -> 'a
     discarded, and the exception is re-raised. The cost is the size of
     [f]'s own change, not of the tables it touched. A nested call acts as
     a savepoint: its failure reverts only what ran inside it. Catalog
-    changes (CREATE/DROP) are not reverted. *)
+    changes (CREATE/DROP) are not reverted. Callers open the outer unit
+    of several statements (a server unit, a bridge batch); each DML
+    statement opens its own inside {!exec_stmt}. *)
 
 val query : t -> string -> query_result
 (** Run a SELECT; raises {!Error.Sql_error} if the statement is not one. *)

@@ -10,12 +10,15 @@
     so rolling a unit back costs the size of its own change, not of the
     tables it touched. *)
 
+module Slots = Set.Make (Int)
+
 type index = {
   index_name : string;
   key_positions : int array;
   unique : bool;
-  (* unique indexes map key -> slot; non-unique map key -> slot list *)
-  mutable art : int list Art.t;
+  (* key -> its live slots; a set, so moving one row in or out of a key
+     shared by many rows costs O(log n), not a walk of them all *)
+  mutable art : Slots.t Art.t;
 }
 
 type t = {
@@ -54,7 +57,7 @@ and storage = {
   old_live : int;
   old_pk : int Art.t option;
   old_pk_stale : bool;
-  old_arts : (index * int list Art.t) list;
+  old_arts : (index * Slots.t Art.t) list;
 }
 
 let create_journal () = { undo = []; depth = 0; compact_later = [] }
@@ -96,33 +99,17 @@ let to_rows t =
 
 let index_add_row (ix : index) slot row =
   let key = key_of_row ix.key_positions row in
-  Art.insert_with ix.art ~combine:(fun old fresh -> fresh @ old) key [ slot ]
-
-(* re-add a slot that was taken out, at its place in the newest-first
-   list, so lookups return rows in the order they did before *)
-let index_restore_row (ix : index) slot row =
-  let key = key_of_row ix.key_positions row in
-  let rec place = function
-    | s :: rest when s > slot -> s :: place rest
-    | l -> slot :: l
-  in
-  match Art.find ix.art key with
-  | None -> Art.insert ix.art key [ slot ]
-  | Some slots -> Art.insert ix.art key (place slots)
+  Art.insert_with ix.art
+    ~combine:(fun old _ -> Slots.add slot old)
+    key (Slots.singleton slot)
 
 let index_remove_row (ix : index) slot row =
   let key = key_of_row ix.key_positions row in
   match Art.find ix.art key with
   | None -> ()
   | Some slots ->
-    (* the newest slot comes first, so reverting an append of many rows
-       under one key stays linear *)
-    let remaining =
-      match slots with
-      | s :: rest when s = slot -> rest
-      | _ -> List.filter (fun s -> s <> slot) slots
-    in
-    if remaining = [] then ignore (Art.remove ix.art key)
+    let remaining = Slots.remove slot slots in
+    if Slots.is_empty remaining then ignore (Art.remove ix.art key)
     else Art.insert ix.art key remaining
 
 (* Rebuild a stale PK index in one sorted bulk pass. The bulk-append path
@@ -239,13 +226,13 @@ let revert = function
     (match t.pk_index with
      | Some pk when not t.pk_stale -> Art.insert pk (pk_key t row) slot
      | _ -> ());
-    List.iter (fun ix -> index_restore_row ix slot row) t.secondary
+    List.iter (fun ix -> index_add_row ix slot row) t.secondary
   | Overwritten (t, slot, old) ->
     (match Vec.get t.slots slot with
      | Some cur -> List.iter (fun ix -> index_remove_row ix slot cur) t.secondary
      | None -> ());
     Vec.set t.slots slot (Some old);
-    List.iter (fun ix -> index_restore_row ix slot old) t.secondary
+    List.iter (fun ix -> index_add_row ix slot old) t.secondary
   | Truncated (t, s) ->
     t.slots <- s.old_slots;
     t.live <- s.old_live;
@@ -439,7 +426,11 @@ let truncate t : int =
            { old_slots = t.slots; old_live = t.live; old_pk = t.pk_index;
              old_pk_stale = t.pk_stale;
              old_arts = List.map (fun ix -> (ix, ix.art)) t.secondary } ));
-    t.slots <- Vec.create ~dummy:None ()
+    (* the old storage is kept for the revert; size the fresh one by the
+       old length, since the refill of a swap or a delta table is about
+       as big (its capacity can be far larger: a delta table that once
+       held a backfill) *)
+    t.slots <- Vec.create ~capacity:(Vec.length t.slots) ~dummy:None ()
   end
   else Vec.clear t.slots;
   t.pk_stale <- false;
@@ -448,22 +439,20 @@ let truncate t : int =
   t.live <- 0;
   n
 
-(** Rows whose index key equals [key] under secondary index [ix]. *)
+(** Rows whose index key equals [key] under secondary index [ix], in
+    slot order. *)
 let index_lookup t (ix : index) (key : string) : Row.t list =
   match Art.find ix.art key with
   | None -> []
   | Some slots ->
-    List.filter_map
-      (fun slot ->
-         match Vec.get t.slots slot with Some r -> Some r | None -> None)
-      (List.rev slots)
+    List.filter_map (fun slot -> Vec.get t.slots slot) (Slots.elements slots)
 
-(** Live slots whose index key equals [key]. *)
+(** Live slots whose index key equals [key], ascending. *)
 let index_slots t (ix : index) (key : string) : int list =
   match Art.find ix.art key with
   | None -> []
   | Some slots ->
-    List.filter (fun slot -> Vec.get t.slots slot <> None) (List.rev slots)
+    List.filter (fun slot -> Vec.get t.slots slot <> None) (Slots.elements slots)
 
 let pk_slot t (key : string) : int option =
   ensure_pk t;

@@ -10,11 +10,13 @@
 type journal
 (** Owned by a {!Database.t}; every table it creates shares it. *)
 
+module Slots : Set.S with type elt = int
+
 type index = {
   index_name : string;
   key_positions : int array;
   unique : bool;
-  mutable art : int list Art.t;  (** encoded key -> live slots *)
+  mutable art : Slots.t Art.t;  (** encoded key -> its live slots *)
 }
 
 type t = {
@@ -111,6 +113,10 @@ val update_where : t -> (Row.t -> bool) -> (Row.t -> Row.t) -> (Row.t * Row.t) l
 val truncate : t -> int
 
 val index_lookup : t -> index -> string -> Row.t list
+(** The rows under [key] in secondary index [ix], in slot order. *)
+
 val index_slots : t -> index -> string -> int list
+(** The live slots under [key] in [ix], ascending. *)
+
 val pk_slot : t -> string -> int option
 val pk_lookup : t -> string -> Row.t option

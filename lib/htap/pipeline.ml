@@ -229,8 +229,6 @@ let apply_batch t ~(source : string) ~(seq : int) (rows : Row.t list) : unit =
         set_watermark t source seq)
   with
   | () ->
-    t.view.Openivm.Runner.pending_deltas <-
-      t.view.Openivm.Runner.pending_deltas + n;
     (* durability hook between watermark and ack: if WAL journaling dies
        here the batch stays in the outbox, and on redelivery the recovered
        watermark (advanced iff the WAL record survived) dedupes it *)
@@ -357,20 +355,11 @@ let ground_truth_rows t : string list =
 
 (** Does the materialized view agree exactly with recomputing its defining
     query over the current OLTP state? (Requires all deltas shipped —
-    callers sync first.) *)
+    callers sync first.) [Runner.visible_rows] folds the landed batches
+    first, whatever the view's refresh mode. *)
 let verify t : bool =
   (not t.crashed)
-  && begin
-    (* [Runner.visible_rows] reads through [Runner.query], which already
-       refreshes a Lazy view or one over upstream views; refresh any
-       other view here, so each is refreshed once *)
-    let v = t.view in
-    if v.Openivm.Runner.compiled.Openivm.Compiler.flags.Openivm.Flags.refresh
-       = Openivm.Flags.Eager
-       && v.Openivm.Runner.upstreams = []
-    then Openivm.Runner.refresh v;
-    Openivm.Runner.visible_rows v = ground_truth_rows t
-  end
+  && Openivm.Runner.visible_rows t.view = ground_truth_rows t
 
 (* --- crash recovery --- *)
 

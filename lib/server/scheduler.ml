@@ -3,13 +3,13 @@
 
     - [t.lock] guards everything: the queue, the quota, the database and
       the views. Ticks, reads and submissions all run under it.
-    - a unit runs inside {!Runner.atomically}: on failure the undo
+    - a unit runs inside {!Database.atomically}: on failure the undo
       journal reverts exactly the rows this unit wrote (base, delta and
       any view tables alike), so deltas queued by earlier units of the
       same tick survive.
-    - [refreshed_at] maps a view to the last tick whose deltas it has
-      folded; the read path refreshes only views behind the current tick
-      counter, which bounds refresh work to once per view per tick. *)
+    - what a view has not folded is the rows of its delta tables, so a
+      read refreshes a view only when those are not empty: once per view
+      per tick of writes, however many readers follow. *)
 
 open Openivm_engine
 module Runner = Openivm.Runner
@@ -26,12 +26,10 @@ type outcome =
 
 type state = Pending | Done of outcome
 
-type stmt = { ast : Ast.stmt; sql : string }
-
 type ticket = {
   u_session : int;
   u_tenant : string;
-  u_stmts : stmt list;
+  u_stmts : Ast.stmt list;
   mutable u_state : state;
 }
 
@@ -46,7 +44,6 @@ type t = {
   cond : Condition.t;
   queue : ticket Queue.t;
   mutable tick_count : int;
-  refreshed_at : (string, int) Hashtbl.t;
   eager_views : (string, unit) Hashtbl.t;
   mutable ticker_running : bool;
   mutable session_seq : int;
@@ -57,7 +54,7 @@ type t = {
   mutable stat_overloaded : int;
   mutable stat_max_tick_units : int;
   mutable record_journal : bool;
-  mutable journal_rev : string list;
+  mutable journal_rev : Ast.stmt list;
 }
 
 (* Process-global handles: several schedulers in one process share the
@@ -108,7 +105,6 @@ let create ?(quota = Quota.default_config) ext =
     cond = Condition.create ();
     queue = Queue.create ();
     tick_count = 0;
-    refreshed_at = Hashtbl.create 16;
     eager_views = Hashtbl.create 16;
     ticker_running = false;
     session_seq = 0;
@@ -142,52 +138,20 @@ let close_session t =
    statement: the whole point of a tick is one consolidated propagation.
    Force Lazy at install time and remember the requested mode — Eager
    views are refreshed by the tick itself, Lazy ones by the first read. *)
-let install_view t sql =
+let install_view t ~view query =
   let flags = { t.ext.Runner.ext_flags with Flags.refresh = Lazy } in
   let v =
-    Runner.install ~flags ~registry:t.ext.Runner.ext_views t.ext.Runner.ext_db
-      sql
+    Runner.install_select ~flags ~registry:t.ext.Runner.ext_views
+      t.ext.Runner.ext_db ~view_name:view query
   in
   t.ext.Runner.ext_views <- v :: t.ext.Runner.ext_views;
   (match t.ext.Runner.ext_flags.Flags.refresh with
   | Eager -> Hashtbl.replace t.eager_views (Runner.view_name v) ()
   | Lazy -> ());
-  (* The initial load materializes current base contents: mark it as
-     caught up with every tick so far. *)
-  Hashtbl.replace t.refreshed_at (Runner.view_name v) t.tick_count;
   v
 
-let forget_view t name =
-  Hashtbl.remove t.eager_views name;
-  Hashtbl.remove t.refreshed_at name
-
-(* Refresh the maintained views a SELECT touches, at most once per tick.
-   [Runner.refresh] pulls upstreams itself, so mark the whole upstream
-   closure as refreshed too. *)
-let rec mark_refreshed t v =
-  Hashtbl.replace t.refreshed_at (Runner.view_name v) t.tick_count;
-  List.iter (mark_refreshed t) v.Runner.upstreams
-
-let refresh_for_read t (q : Ast.select) =
-  let touched = Ast.select_tables q in
-  List.iter
-    (fun name ->
-      match Runner.find_view t.ext name with
-      | None -> ()
-      | Some v ->
-          let behind =
-            match Hashtbl.find_opt t.refreshed_at name with
-            | Some at -> at < t.tick_count
-            | None -> true
-          in
-          if behind then begin
-            Runner.refresh v;
-            mark_refreshed t v
-          end)
-    touched
-
 let read_locked t q =
-  refresh_for_read t q;
+  Runner.refresh_for_query t.ext q;
   Database.run_select t.ext.Runner.ext_db q
 
 exception Ddl_in_transaction
@@ -198,18 +162,19 @@ exception Ddl_in_transaction
    back the whole unit, because rollback reverts rows, not catalog
    changes: a view installed by a unit that later fails would stay
    registered over reverted tables. *)
-let apply_stmt t ~in_txn { ast; sql } =
-  match ast with
+let apply_stmt t ~in_txn (stmt : Ast.stmt) =
+  match stmt with
   | (Ast.Create_table _ | Ast.Create_view _ | Ast.Create_index _ | Ast.Drop _)
     when in_txn ->
       raise Ddl_in_transaction
-  | Ast.Create_view { materialized = true; _ } -> `Installed (install_view t sql)
+  | Ast.Create_view { view; materialized = true; query } ->
+      `Installed (install_view t ~view query)
   | Ast.Select_stmt q -> `Result (Database.Rows (read_locked t q))
   | Ast.Drop { name; _ } when Runner.find_view t.ext name <> None ->
-      let r = Runner.exec_ext t.ext ast in
-      forget_view t name;
+      let r = Runner.exec_ext t.ext stmt in
+      Hashtbl.remove t.eager_views name;
       r
-  | _ -> Runner.exec_ext t.ext ast
+  | _ -> Runner.exec_ext t.ext stmt
 
 (* ------------------------------------------------------------------ *)
 (* Units and rollback                                                  *)
@@ -230,7 +195,7 @@ let apply_unit t u =
       in
       let in_txn = List.compare_length_with u.u_stmts 1 > 0 in
       match
-        Runner.atomically t.ext (fun () ->
+        Database.atomically t.ext.Runner.ext_db (fun () ->
             List.fold_left
               (fun (affected, installed) stmt ->
                 match apply_stmt t ~in_txn stmt with
@@ -241,9 +206,7 @@ let apply_unit t u =
       with
       | affected, installed ->
           if t.record_journal then
-            t.journal_rev <-
-              List.fold_left (fun acc s -> s.sql :: acc) t.journal_rev
-                u.u_stmts;
+            t.journal_rev <- List.rev_append u.u_stmts t.journal_rev;
           t.stat_units_applied <- t.stat_units_applied + 1;
           Applied { affected; installed = List.rev installed }
       | exception Error.Sql_error msg -> fail "SQL" msg
@@ -255,20 +218,11 @@ let apply_unit t u =
 (* Ticks                                                               *)
 
 let refresh_eager_locked t =
-  if Hashtbl.length t.eager_views > 0 then begin
-    let refreshed =
-      Runner.refresh_tick
-        ~only:(fun v -> Hashtbl.mem t.eager_views (Runner.view_name v))
-        t.ext
-    in
-    ignore refreshed;
-    Hashtbl.iter
-      (fun name () ->
-        match Runner.find_view t.ext name with
-        | Some v -> mark_refreshed t v
-        | None -> ())
-      t.eager_views
-  end
+  if Hashtbl.length t.eager_views > 0 then
+    ignore
+      (Runner.refresh_tick
+         ~only:(fun v -> Hashtbl.mem t.eager_views (Runner.view_name v))
+         t.ext)
 
 let tick_locked t =
   if Queue.is_empty t.queue then 0
@@ -295,9 +249,6 @@ let tick_locked t =
             | Applied _ -> Hashtbl.replace sessions u.u_session ()
             | Failed _ -> ())
           batch;
-        (* The tick counter advances before the end-of-tick eager
-           refresh so that refresh is attributed to this tick and the
-           read path will not redo it. *)
         t.tick_count <- t.tick_count + 1;
         refresh_eager_locked t;
         let n = List.length batch in
@@ -323,8 +274,7 @@ let drain t =
       while not (Queue.is_empty t.queue) do
         ignore (tick_locked t)
       done;
-      ignore (Runner.refresh_tick t.ext);
-      List.iter (fun v -> mark_refreshed t v) t.ext.Runner.ext_views)
+      ignore (Runner.refresh_tick t.ext))
 
 let set_ticker_running t b =
   with_lock t (fun () ->

@@ -11,21 +11,24 @@
       under one internal mutex — a reader can never observe a
       half-applied tick, and a tick can never interleave with another;
     - a {e unit} (one DML statement, or one committed transaction's
-      statement list) applies all-or-nothing through
-      {!Openivm.Runner.atomically}: if any statement fails, the undo
-      journal reverts exactly the rows this unit wrote (base, delta and
-      view tables alike) and every view's pending-delta counter, at a
+      statement list) applies all-or-nothing inside one
+      {!Openivm_engine.Database.atomically}: if any statement fails, the
+      undo journal reverts exactly the rows this unit wrote (base, delta
+      and view tables alike, so also what the views have pending), at a
       cost that follows the unit's own change, not the tables' sizes. A
       failed unit never eats deltas queued by earlier units of the same
-      tick. Each statement is also a savepoint of its own;
+      tick. Each DML statement is a savepoint of its own, opened by
+      {!Openivm_engine.Database.exec_stmt};
     - a unit of several statements may not contain DDL: on reaching a
       DDL statement, before it runs, the unit fails with code [TXN] and
       is rolled back like any failed unit, because rollback reverts
       rows, not catalog changes;
     - views requested [Eager] refresh once at the end of the tick; lazy
       views refresh on the first read after a tick, and at most once per
-      tick even under N concurrent readers (the tick counter gates the
-      refresh, which matters for [Full_recompute] plans that otherwise
+      tick even under N concurrent readers: a view's pending deltas are
+      its delta tables' rows, the first read folds them, and a read that
+      finds them empty does not refresh ({!Openivm.Runner.refresh_for_query};
+      this matters for [Full_recompute] plans, which would otherwise
       recompute on every read). *)
 
 open Openivm_engine
@@ -53,12 +56,6 @@ type outcome =
   | Failed of { code : string; message : string }
       (** the unit was rolled back all-or-nothing *)
 
-type stmt = { ast : Openivm_sql.Ast.stmt; sql : string }
-(** One statement of a unit, parsed once by whoever received its text
-    ({!Session.exec}); the scheduler never parses. [sql] is the text
-    [ast] was parsed from: the journal records it, and a [CREATE
-    MATERIALIZED VIEW] installs from it. *)
-
 type ticket
 
 type submit_result =
@@ -66,13 +63,16 @@ type submit_result =
   | Rejected of string  (** admission control refused: Overloaded reply *)
 
 val submit :
-  t -> session_id:int -> tenant:string -> stmt list -> submit_result
-(** Enqueue one unit. Does not block and does not run a tick. Each
-    statement then applies through {!Openivm.Runner.exec_ext}, under the
-    scheduler's own policy: DDL inside a multi-statement unit is refused
-    ([TXN]); a [CREATE MATERIALIZED VIEW] installs with lazy capture
-    (see {!create}); a [SELECT] takes the tick-gated read path of
-    {!read}; dropping a maintained view also forgets its refresh state. *)
+  t -> session_id:int -> tenant:string -> Openivm_sql.Ast.stmt list ->
+  submit_result
+(** Enqueue one unit of parsed statements, parsed once by whoever
+    received their text ({!Session.exec}); the scheduler never parses.
+    Does not block and does not run a tick. Each statement then applies
+    through {!Openivm.Runner.exec_ext}, under the scheduler's own policy:
+    DDL inside a multi-statement unit is refused ([TXN]); a [CREATE
+    MATERIALIZED VIEW] is compiled from the query it holds and installed
+    with lazy capture (see {!create}); a [SELECT] takes the read path of
+    {!read}; dropping a maintained view also forgets its refresh mode. *)
 
 val await : t -> ticket -> outcome
 (** Block until the unit's tick has applied it. When no background
@@ -81,15 +81,16 @@ val await : t -> ticket -> outcome
 
 val exec_unit :
   t -> session_id:int -> tenant:string ->
-  stmt list -> [ `Outcome of outcome | `Overloaded of string ]
+  Openivm_sql.Ast.stmt list -> [ `Outcome of outcome | `Overloaded of string ]
 (** [submit] + [await]. *)
 
 (** {1 Reads} *)
 
 val read : t -> Openivm_sql.Ast.select -> Database.query_result
-(** Run a SELECT under the scheduler lock, first refreshing every lazy
-    maintained view the query touches — at most once per tick. Raises
-    {!Error.Sql_error} like {!Database.run_select}. *)
+(** Run a SELECT under the scheduler lock, first refreshing every
+    maintained view the query touches that has deltas pending
+    ({!Openivm.Runner.refresh_for_query}). Raises {!Error.Sql_error} like
+    {!Database.run_select}. *)
 
 (** {1 Ticks} *)
 
@@ -126,4 +127,4 @@ val set_record_journal : t -> bool -> unit
 (** Record every successfully applied statement, in apply order — the
     serial history the soak replays sequentially as its oracle. *)
 
-val journal : t -> string list
+val journal : t -> Openivm_sql.Ast.stmt list

@@ -4,7 +4,7 @@ type t = {
   sched : Scheduler.t;
   sid : int;
   s_tenant : string;
-  mutable txn : Scheduler.stmt list option;  (* buffered statements, reversed *)
+  mutable txn : Ast.stmt list option;  (* buffered statements, reversed *)
   mutable closed : bool;
 }
 
@@ -52,64 +52,59 @@ let run_select t q =
       }
   with Openivm_engine.Error.Sql_error msg -> Failed { code = "SQL"; message = msg }
 
-let exec t sql =
+let exec_stmt t (stmt : Ast.stmt) =
   if t.closed then Failed { code = "SESSION"; message = "session is closed" }
   else
-    match (try Ok (Openivm_sql.Parser.parse_statement sql) with e -> Error e) with
-    | Error (Openivm_sql.Parser.Error (msg, pos)) ->
-        Failed { code = "PARSE"; message = Printf.sprintf "%s (at %d)" msg pos }
-    | Error (Openivm_sql.Lexer.Error (msg, pos)) ->
-        Failed { code = "LEX"; message = Printf.sprintf "%s (at %d)" msg pos }
-    | Error e -> Failed { code = "PARSE"; message = Printexc.to_string e }
-    | Ok ast -> (
-        let stmt = { Scheduler.ast; sql } in
-        match ast with
-        | Ast.Begin_txn -> (
-            match t.txn with
-            | Some _ ->
-                Failed
-                  { code = "TXN"; message = "already inside a transaction" }
-            | None ->
-                t.txn <- Some [];
-                Msg "BEGIN")
-        | Ast.Commit_txn -> (
-            match t.txn with
-            | None ->
-                Failed { code = "TXN"; message = "no transaction in progress" }
-            | Some [] ->
+    match stmt with
+    | Ast.Begin_txn -> (
+        match t.txn with
+        | Some _ ->
+            Failed { code = "TXN"; message = "already inside a transaction" }
+        | None ->
+            t.txn <- Some [];
+            Msg "BEGIN")
+    | Ast.Commit_txn -> (
+        match t.txn with
+        | None -> Failed { code = "TXN"; message = "no transaction in progress" }
+        | Some [] ->
+            t.txn <- None;
+            Msg "COMMIT"
+        | Some rev -> (
+            match submit_unit t (List.rev rev) with
+            | Overloaded _ as r ->
+                (* Buffer kept: the client may retry COMMIT once the
+                   queue drains. *)
+                r
+            | r ->
                 t.txn <- None;
-                Msg "COMMIT"
-            | Some rev -> (
-                match submit_unit t (List.rev rev) with
-                | Overloaded _ as r ->
-                    (* Buffer kept: the client may retry COMMIT once the
-                       queue drains. *)
-                    r
-                | r ->
-                    t.txn <- None;
-                    r))
-        | Ast.Rollback_txn -> (
-            match t.txn with
-            | None ->
-                Failed { code = "TXN"; message = "no transaction in progress" }
-            | Some _ ->
-                t.txn <- None;
-                Msg "ROLLBACK")
-        | Ast.Select_stmt q -> run_select t q
-        | Ast.Insert _ | Ast.Update _ | Ast.Delete _ | Ast.Truncate _ -> (
-            match t.txn with
-            | Some rev ->
-                t.txn <- Some (stmt :: rev);
-                Queued (List.length rev + 1)
-            | None -> submit_unit t [ stmt ])
-        | _ -> (
-            (* DDL: single-statement units only, never buffered — the
-               undo journal reverts rows, not catalog changes. *)
-            match t.txn with
-            | Some _ ->
-                Failed
-                  {
-                    code = "TXN";
-                    message = "DDL is not allowed inside a transaction";
-                  }
-            | None -> submit_unit t [ stmt ]))
+                r))
+    | Ast.Rollback_txn -> (
+        match t.txn with
+        | None -> Failed { code = "TXN"; message = "no transaction in progress" }
+        | Some _ ->
+            t.txn <- None;
+            Msg "ROLLBACK")
+    | Ast.Select_stmt q -> run_select t q
+    | Ast.Insert _ | Ast.Update _ | Ast.Delete _ | Ast.Truncate _ -> (
+        match t.txn with
+        | Some rev ->
+            t.txn <- Some (stmt :: rev);
+            Queued (List.length rev + 1)
+        | None -> submit_unit t [ stmt ])
+    | _ -> (
+        (* DDL: single-statement units only, never buffered — the
+           undo journal reverts rows, not catalog changes. *)
+        match t.txn with
+        | Some _ ->
+            Failed
+              { code = "TXN"; message = "DDL is not allowed inside a transaction" }
+        | None -> submit_unit t [ stmt ])
+
+let exec t sql =
+  match Openivm_sql.Parser.parse_statement sql with
+  | stmt -> exec_stmt t stmt
+  | exception Openivm_sql.Parser.Error (msg, pos) ->
+      Failed { code = "PARSE"; message = Printf.sprintf "%s (at %d)" msg pos }
+  | exception Openivm_sql.Lexer.Error (msg, pos) ->
+      Failed { code = "LEX"; message = Printf.sprintf "%s (at %d)" msg pos }
+  | exception e -> Failed { code = "PARSE"; message = Printexc.to_string e }

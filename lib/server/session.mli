@@ -28,10 +28,16 @@ val id : t -> int
 val tenant : t -> string
 
 val exec : t -> string -> reply
-(** Execute one SQL statement (or BEGIN/COMMIT/ROLLBACK). Never raises:
-    engine and parse errors come back as [Failed]. The statement is
-    parsed here, once; the scheduler receives the parsed statement beside
-    its text ({!Scheduler.stmt}). *)
+(** Parse one SQL statement (or BEGIN/COMMIT/ROLLBACK), once, and run it
+    through {!exec_stmt}. Never raises: parse errors come back as
+    [Failed] with code [PARSE] or [LEX], engine errors as {!exec_stmt}
+    answers them. *)
+
+val exec_stmt : t -> Openivm_sql.Ast.stmt -> reply
+(** Execute one parsed statement: the entry for a caller that already
+    holds the parsed form (an init script parsed whole). Engine errors
+    come back as [Failed]; the scheduler receives the statement as
+    given. *)
 
 val close : t -> unit
 (** Discard any open transaction buffer and release the session. *)

@@ -186,8 +186,7 @@ let replay_batch db ext ~view ~source ~seq ~replica (rows : Row.t list) :
                (* a deletion that finds no row was already a miss live *)
                ignore (Openivm_htap.Pipeline.apply_replica_row db ~base:source row))
           rows);
-    exec_stmts db (Openivm.Metadata.set_watermark ~source ~seq);
-    v.Runner.pending_deltas <- v.Runner.pending_deltas + List.length rows
+    exec_stmts db (Openivm.Metadata.set_watermark ~source ~seq)
 
 let log_batch t ~view ~source ~seq ~replica (rows : Row.t list) : unit =
   ensure_open t;
@@ -287,20 +286,6 @@ let open_ ?(flags = Flags.default) ?faults ?(chunk_rows = 256)
            in
            ext.Runner.ext_views <- v :: ext.Runner.ext_views)
         ledger;
-      (* the checkpoint may carry unpropagated delta rows: pending_deltas
-         must mirror them or lazy refresh would skip the fold *)
-      List.iter
-        (fun (v : Runner.view) ->
-           v.Runner.pending_deltas <-
-             List.fold_left
-               (fun acc base ->
-                  acc
-                  + Table.row_count
-                      (Catalog.find_table (Database.catalog db)
-                         (Compiler.delta_table v.Runner.compiled base)))
-               0
-               (Compiler.base_tables v.Runner.compiled))
-        ext.Runner.ext_views;
       (* 4. replay the WAL tail; records folded into the checkpoint are
          skipped, which is what makes a crash between checkpoint and
          truncation harmless *)

@@ -231,7 +231,7 @@ let run_strategy ~strategy ~seed =
   let submit s sql =
     match
       Scheduler.submit sched ~session_id:(Session.id s) ~tenant:(Session.tenant s)
-        [ { Scheduler.ast = Openivm_sql.Parser.parse_statement sql; sql } ]
+        [ Openivm_sql.Parser.parse_statement sql ]
     with
     | Scheduler.Queued u -> u
     | Scheduler.Rejected r ->
@@ -309,7 +309,7 @@ let run_strategy ~strategy ~seed =
       [] view_sqls
     |> List.rev
   in
-  List.iter (fun sql -> ignore (Database.exec odb sql)) journal;
+  List.iter (fun stmt -> ignore (Database.exec_stmt odb stmt)) journal;
   List.iter Runner.force_refresh oracle_views;
   let sorted db sql =
     let r = Database.query db sql in

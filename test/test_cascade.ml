@@ -101,7 +101,7 @@ let test_eager_pushes_without_pull () =
     (fun v ->
        Alcotest.(check int)
          (Runner.view_name v ^ " has no pending deltas")
-         0 v.Runner.pending_deltas)
+         0 (Runner.pending_deltas v))
     views;
   let v3 = List.nth views 2 in
   Alcotest.(check (list string)) "level-3 backing table is already current"
@@ -141,7 +141,7 @@ let test_lazy_pull_refreshes_upstreams () =
     (fun v ->
        Alcotest.(check int)
          (Runner.view_name v ^ " drained by the pull")
-         0 v.Runner.pending_deltas)
+         0 (Runner.pending_deltas v))
     views
 
 (* --- guard diagnostics --- *)
@@ -231,7 +231,7 @@ let test_consolidation_cancels_churn () =
       (Printf.sprintf "INSERT INTO sales VALUES ('churn', %d)" (i + 1000))
   done;
   Util.exec db "DELETE FROM sales WHERE amount >= 1000";
-  Alcotest.(check int) "churn captured raw" 400 v.Runner.pending_deltas;
+  Alcotest.(check int) "churn captured raw" 400 (Runner.pending_deltas v);
   Runner.refresh v;
   Alcotest.(check int) "all 400 rows cancelled" 400
     (consolidated_total () - before);
@@ -256,7 +256,7 @@ let test_consolidation_nets_partial () =
   Util.exec db "DELETE FROM sales WHERE region = 'north' AND amount = 10";
   Util.exec db "INSERT INTO sales VALUES ('north', 10)";
   Util.exec db "INSERT INTO sales VALUES ('east', 1)";
-  Alcotest.(check int) "raw capture" 3 v.Runner.pending_deltas;
+  Alcotest.(check int) "raw capture" 3 (Runner.pending_deltas v);
   Runner.force_refresh v;
   Util.check_view_consistent db v
 

@@ -130,6 +130,5 @@ let suite =
              | Value.Str sql -> Util.exec db sql
              | _ -> Alcotest.fail "bad script row")
           stored.Database.rows;
-        v.Openivm.Runner.pending_deltas <- 0;
         Util.check_view_consistent db v);
   ]

@@ -97,6 +97,36 @@ let test_single_session_roundtrip () =
     (expect_rows (Session.exec s "SELECT k, total, n FROM totals"));
   Session.close s
 
+(* A caller holding parsed statements (an init script parsed whole) runs
+   them through [Session.exec_stmt]: the view is compiled from the
+   parsed query, and nothing is printed back to text. *)
+let test_exec_stmt_parsed_script () =
+  let ext = mk_ext [] in
+  let sched = Scheduler.create ext in
+  let s = Session.create sched ~tenant:"init" in
+  let script =
+    groups_ddl ^ ";\n" ^ totals_ddl
+    ^ ";\nINSERT INTO g VALUES ('a', 5), ('b', 1);\nBEGIN;\n\
+       INSERT INTO g VALUES ('a', 2);\nCOMMIT"
+  in
+  let replies =
+    List.map (Session.exec_stmt s) (Openivm_sql.Parser.parse_script script)
+  in
+  Alcotest.(check string) "installed through exec_stmt" "installed totals"
+    (expect_msg (List.nth replies 1));
+  Alcotest.(check int) "the committed transaction" 1
+    (expect_affected (List.nth replies 5));
+  Alcotest.(check (list string)) "read through exec_stmt"
+    [ "(a, 7, 2)"; "(b, 1, 1)" ]
+    (expect_rows
+       (Session.exec_stmt s
+          (Openivm_sql.Parser.parse_statement "SELECT k, total, n FROM totals")));
+  let v = find_view ext "totals" in
+  Alcotest.(check (list string)) "view = recompute"
+    (Openivm.Runner.recompute_rows v)
+    (Openivm.Runner.visible_rows v);
+  Session.close s
+
 let test_consolidated_tick () =
   let ext = mk_ext [ groups_ddl ] in
   let sched = Scheduler.create ext in
@@ -273,7 +303,8 @@ let test_eager_views_refresh_at_tick_end () =
   (* requested-eager: the tick itself propagated, no read needed *)
   Alcotest.(check int) "tick refreshed the eager view" (before + 1)
     v.Openivm.Runner.refresh_count;
-  Alcotest.(check int) "no pending deltas left" 0 v.Openivm.Runner.pending_deltas;
+  Alcotest.(check int) "no pending deltas left" 0
+    (Openivm.Runner.pending_deltas v);
   Session.close s
 
 let test_ddl_refused_in_txn () =
@@ -468,6 +499,8 @@ let test_server_background_ticker () =
 
 let suite =
   [ Util.tc "single session roundtrip" test_single_session_roundtrip;
+    Util.tc "parsed script: install and read through exec_stmt"
+      test_exec_stmt_parsed_script;
     Util.tc "two sessions consolidate into one tick" test_consolidated_tick;
     Util.tc "rollback preserves other sessions' deltas"
       test_rollback_preserves_other_sessions_deltas;

@@ -45,6 +45,4 @@ let exec_ext ext sql =
   Openivm.Runner.exec_ext ext (Openivm_sql.Parser.parse_statement sql)
 
 (** One statement of a scheduler unit, parsed from its text. *)
-let unit_stmt sql =
-  { Openivm_server.Scheduler.ast = Openivm_sql.Parser.parse_statement sql;
-    sql }
+let unit_stmt sql = Openivm_sql.Parser.parse_statement sql
