@@ -957,6 +957,84 @@ let multi_session_results refresh : refresh_result list =
               float_of_int units /. float_of_int (max 1 ticks)) ] })
     [ 1; 4; 16 ]
 
+(* --- the bulk UPDATE benchmark: one statement over every row ---
+
+   An all-rows UPDATE on a keyed table with a 2-value secondary index on
+   [g], at the refresh base size and at ten times it: [set_v] assigns a
+   column no index covers, [flip_g] moves every row between the index's
+   two keys, and each runs once more inside a unit that is rolled back.
+   A row records the slot vector's length before the first statement and
+   the largest length seen after one. Gated: after each statement every
+   PK and secondary lookup equals a filtered scan, and [set_v] leaves the
+   slot count where it was. *)
+
+let bulk_update_results () : refresh_result list =
+  let base, _ = refresh_sizes () in
+  let reps = max 1 !refresh_reps in
+  let setup n =
+    let db = Database.create () in
+    ignore
+      (Database.exec db
+         "CREATE TABLE s(id INTEGER PRIMARY KEY, g INTEGER, v INTEGER)");
+    ignore (Database.exec db "CREATE INDEX s_g ON s(g)");
+    let tbl = Catalog.find_table (Database.catalog db) "s" in
+    Table.insert_many tbl
+      (List.init n (fun i -> [| Value.Int i; Value.Int (i mod 2); Value.Int i |]));
+    (db, tbl)
+  in
+  let lookups_agree (tbl : Table.t) =
+    let scanned = ref [] in
+    Table.iter_slots (fun slot row -> scanned := (slot, row) :: !scanned) tbl;
+    let scanned = List.rev !scanned in
+    let ix = Option.get (Table.find_secondary tbl "s_g") in
+    List.for_all
+      (fun g ->
+         Table.probe tbl ~index:(Some ix) [| Value.Int g |]
+         = List.filter (fun (_, (r : Row.t)) -> r.(1) = Value.Int g) scanned)
+      [ 0; 1 ]
+    && List.for_all
+         (fun ((_, (r : Row.t)) as hit) -> Table.probe tbl ~index:None [| r.(0) |] = [ hit ])
+         scanned
+  in
+  let row n (name, sql) rolled_back =
+    let db, tbl = setup n in
+    let exception Abort in
+    let statement () =
+      if rolled_back then (
+        try Database.atomically db (fun () -> ignore (Database.exec db sql); raise Abort)
+        with Abort -> ())
+      else ignore (Database.exec db sql)
+    in
+    let slots () = Vec.length tbl.Table.slots in
+    let before = slots () in
+    let peak = ref 0 and agree = ref true in
+    let timed () =
+      let t = time_unit statement in
+      peak := max !peak (slots ());
+      agree := !agree && lookups_agree tbl;
+      t
+    in
+    (* one discarded warmup rep, as in the refresh rows *)
+    ignore (timed ());
+    let times = List.init reps (fun _ -> timed ()) in
+    let kept = name <> "set_v" || !peak = before in
+    { r_shape = "bulk_update";
+      r_strategy =
+        Printf.sprintf "%s%s_%d" name (if rolled_back then "_rollback" else "") n;
+      r_median = median times;
+      r_min = List.fold_left min infinity times;
+      r_max = List.fold_left max neg_infinity times;
+      r_converged = kept && !agree;
+      r_extra =
+        [ ("slots_before", float_of_int before); ("slots_after", float_of_int !peak) ] }
+  in
+  List.concat_map
+    (fun n ->
+       List.concat_map
+         (fun stmt -> [ row n stmt false; row n stmt true ])
+         [ ("set_v", "UPDATE s SET v = v + 1"); ("flip_g", "UPDATE s SET g = 1 - g") ])
+    [ base; 10 * base ]
+
 let refresh_bench () =
   let base, delta = refresh_sizes () in
   let reps = max 1 !refresh_reps in
@@ -1060,7 +1138,20 @@ let refresh_bench () =
        if not r.r_converged then
          diverged := (r.r_shape, r.r_strategy) :: !diverged)
     multi;
-  let results = List.rev !results @ recovery @ multi in
+  (* the bulk UPDATE rows ride along too: shape "bulk_update", one
+     strategy slot per statement, mode and table size; a failed gate is
+     reported with the divergences *)
+  let bulk = bulk_update_results () in
+  List.iter
+    (fun r ->
+       Printf.printf "bulk_update/%-24s %s (slots %.0f -> %.0f)\n" r.r_strategy
+         (pp_duration r.r_median)
+         (List.assoc "slots_before" r.r_extra)
+         (List.assoc "slots_after" r.r_extra);
+       if not r.r_converged then
+         diverged := (r.r_shape, r.r_strategy) :: !diverged)
+    bulk;
+  let results = List.rev !results @ recovery @ multi @ bulk in
   let oc = open_out !refresh_out in
   output_string oc (refresh_json results);
   close_out oc;
@@ -1069,10 +1160,16 @@ let refresh_bench () =
   if !diverged <> [] then begin
     List.iter
       (fun (shape, strategy) ->
-         Printf.eprintf
-           "BENCH DIVERGENCE: view %s under %s disagrees with full \
-            recompute\n"
-           shape strategy)
+         if shape = "bulk_update" then
+           Printf.eprintf
+             "BENCH GATE: bulk_update/%s: an index lookup differs from a \
+              scan, or a non-key UPDATE moved the slot count\n"
+             strategy
+         else
+           Printf.eprintf
+             "BENCH DIVERGENCE: view %s under %s disagrees with full \
+              recompute\n"
+             shape strategy)
       (List.rev !diverged);
     exit 1
   end

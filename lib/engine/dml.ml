@@ -1,8 +1,5 @@
 (** INSERT / UPDATE / DELETE execution, with trigger firing. *)
 
-(* read a slot's live row *)
-let _openivm_engine_vec_get (tbl : Table.t) slot = Vec.get tbl.Table.slots slot
-
 type outcome = {
   affected : int;
   change : Trigger.change option;
@@ -177,78 +174,40 @@ let exec_insert ?(distinct_hint = false) catalog triggers ~table ~columns
       (* bulk path: defers PK maintenance when the table starts empty *)
       Table.insert_many ~distinct_keys:distinct_hint tbl rows;
       { Trigger.table; inserted = rows; deleted = [] }
-    | Sql.Ast.Or_replace | Sql.Ast.Do_nothing ->
-      let inserted = ref [] in
-      let deleted = ref [] in
-      List.iter
-        (fun row ->
-           match on_conflict with
-           | Sql.Ast.No_conflict_clause -> assert false
-           | Sql.Ast.Or_replace ->
-             (match Table.upsert tbl row with
-              | Table.Inserted -> inserted := row :: !inserted
-              | Table.Replaced old ->
-                deleted := old :: !deleted;
-                inserted := row :: !inserted)
-           | Sql.Ast.Do_nothing ->
-             if Table.insert_ignore tbl row then inserted := row :: !inserted)
-        rows;
-      { Trigger.table;
-        inserted = List.rev !inserted;
-        deleted = List.rev !deleted }
+    | Sql.Ast.Or_replace ->
+      (* in row order: a later row may replace an earlier one *)
+      let deleted = List.filter_map (Table.upsert tbl) rows in
+      { Trigger.table; inserted = rows; deleted }
+    | Sql.Ast.Do_nothing ->
+      { Trigger.table; inserted = List.filter (Table.insert_ignore tbl) rows;
+        deleted = [] }
   in
   Trigger.fire triggers change;
   { affected = List.length change.Trigger.inserted; change = Some change }
 
-(** Index fast-path for point UPDATE/DELETE: when conjuncts of [where] pin
-    every column of the PK or of a secondary index with constants, return
-    the candidate slots (a superset of the matching rows — the caller
-    still applies the full predicate). *)
-let candidate_slots (tbl : Table.t) (where : Sql.Ast.expr option) :
-  int list option =
-  match where with
-  | None -> None
-  | Some predicate ->
-    let schema = tbl.Table.schema in
-    let pinned = Hashtbl.create 8 in
-    List.iter
-      (fun c ->
-         match c with
-         | Sql.Ast.Binary (Sql.Ast.Eq, a, b) ->
-           let try_pin col const =
-             match col with
-             | Sql.Ast.Column (qualifier, name) when name <> "*" ->
-               if Openivm_sql.Analysis.is_constant const then begin
-                 match Schema.find_opt schema ~qualifier ~name with
-                 | Some (i, _) ->
-                   if not (Hashtbl.mem pinned i) then
-                     Hashtbl.replace pinned i const
-                 | None -> ()
-                 | exception Error.Sql_error _ -> ()
-               end
-             | _ -> ()
-           in
-           try_pin a b;
-           try_pin b a
-         | _ -> ())
-      (Optimizer.conjuncts predicate);
-    let key_for positions =
-      Value.encode_key
-        (Array.map (fun i -> Expr.eval_const (Hashtbl.find pinned i)) positions)
-    in
-    let fully_pinned positions =
-      Array.length positions > 0
-      && Array.for_all (fun i -> Hashtbl.mem pinned i) positions
-    in
-    if fully_pinned tbl.Table.primary_key then
-      Some (Option.to_list (Table.pk_slot tbl (key_for tbl.Table.primary_key)))
-    else
-      List.find_map
-        (fun ix ->
-           if fully_pinned ix.Table.key_positions then
-             Some (Table.index_slots tbl ix (key_for ix.Table.key_positions))
-           else None)
-        tbl.Table.secondary
+(** The statement's target rows with their slots, in slot order: probed
+    through the index {!Optimizer.pinned_index} picks, else scanned, and
+    kept when the whole predicate holds. *)
+let targets catalog (tbl : Table.t) (where : Sql.Ast.expr option) :
+  (int * Row.t) list =
+  let keep, pinned =
+    match where with
+    | None -> ((fun (_ : Row.t) -> true), None)
+    | Some e ->
+      let c = Exec.compile_expr catalog tbl.Table.schema e in
+      ( (fun row -> Expr.is_true (c row)),
+        Optimizer.pinned_index tbl tbl.Table.schema (Optimizer.conjuncts e) )
+  in
+  match pinned with
+  | Some (index, pins) ->
+    List.filter
+      (fun (_, row) -> keep row)
+      (Table.probe tbl ~index
+         (Array.of_list (List.map (fun (k, _) -> Expr.eval_const k) pins)))
+  | None ->
+    let acc = ref [] in
+    Table.iter_slots (fun slot row -> if keep row then acc := (slot, row) :: !acc) tbl;
+    List.rev !acc
 
 let exec_delete catalog triggers ~table ~where : outcome =
   let tbl = Catalog.find_table catalog table in
@@ -260,38 +219,18 @@ let exec_delete catalog triggers ~table ~where : outcome =
     { affected = n;
       change = Some { Trigger.table; inserted = []; deleted = [] } }
   | _ ->
-  let pred =
-    match where with
-    | None -> fun (_ : Row.t) -> true
-    | Some e ->
-      let c = Exec.compile_expr catalog tbl.Table.schema e in
-      fun row -> Expr.is_true (c row)
-  in
-  let deleted =
-    match candidate_slots tbl where with
-    | Some slots ->
+    let deleted =
       List.filter_map
-        (fun slot ->
-           match _openivm_engine_vec_get tbl slot with
-           | Some row when pred row -> Table.delete_slot tbl slot
-           | _ -> None)
-        slots
-    | None -> Table.delete_where tbl pred
-  in
-  let change = { Trigger.table; inserted = []; deleted } in
-  Trigger.fire triggers change;
-  { affected = List.length deleted; change = Some change }
+        (fun (slot, _) -> Table.delete_slot tbl slot)
+        (targets catalog tbl where)
+    in
+    let change = { Trigger.table; inserted = []; deleted } in
+    Trigger.fire triggers change;
+    { affected = List.length deleted; change = Some change }
 
 let exec_update catalog triggers ~table ~assignments ~where : outcome =
   let tbl = Catalog.find_table catalog table in
   let schema = tbl.Table.schema in
-  let pred =
-    match where with
-    | None -> fun (_ : Row.t) -> true
-    | Some e ->
-      let c = Exec.compile_expr catalog schema e in
-      fun row -> Expr.is_true (c row)
-  in
   let compiled =
     List.map
       (fun (col, e) ->
@@ -299,6 +238,15 @@ let exec_update catalog triggers ~table ~assignments ~where : outcome =
          (i, Exec.compile_expr catalog schema e))
       assignments
   in
+  let rec refuse_twice = function
+    | [] -> ()
+    | (i, _) :: rest ->
+      if List.mem_assoc i rest then
+        Error.fail "multiple assignments to same column %S"
+          (List.nth schema i).Schema.name;
+      refuse_twice rest
+  in
+  refuse_twice compiled;
   (* the updated row passes the same NOT NULL and type check as an
      inserted one *)
   let coerce = coercer schema in
@@ -308,26 +256,12 @@ let exec_update catalog triggers ~table ~assignments ~where : outcome =
     coerce fresh
   in
   let changed =
-    match candidate_slots tbl where with
-    | Some slots ->
-      let targets =
-        List.filter_map
-          (fun slot ->
-             match _openivm_engine_vec_get tbl slot with
-             | Some row when pred row -> Some (slot, row)
-             | _ -> None)
-          slots
-      in
-      (* as in [Table.update_where]: build the new image before the old
-         one is deleted, so a refused row stays where it was *)
-      List.map
-        (fun (slot, old) ->
-           let fresh = transform old in
-           ignore (Table.delete_slot tbl slot);
-           Table.insert tbl fresh;
-           (old, fresh))
-        targets
-    | None -> Table.update_where tbl pred transform
+    List.map
+      (fun (slot, old) ->
+         let fresh = transform old in
+         Table.overwrite_slot tbl slot fresh;
+         (old, fresh))
+      (targets catalog tbl where)
   in
   let change =
     { Trigger.table;

@@ -1,15 +1,13 @@
-(** INSERT / UPDATE / DELETE execution with trigger firing and an index
-    fast-path for point updates/deletes whose predicates pin a PK or
-    secondary index. *)
+(** INSERT / UPDATE / DELETE execution with trigger firing. UPDATE and
+    DELETE collect their target rows once, through {!Table.probe} when
+    {!Optimizer.pinned_index} finds an index their WHERE clause pins, else
+    by a scan; then DELETE tombstones each slot ({!Table.delete_slot}) and
+    UPDATE overwrites it in place ({!Table.overwrite_slot}). *)
 
 type outcome = {
   affected : int;
   change : Trigger.change option;
 }
-
-val candidate_slots : Table.t -> Sql.Ast.expr option -> int list option
-(** Slots an index narrows a WHERE clause to (a superset of the matches),
-    or [None] when no index applies. *)
 
 val exec_insert :
   ?distinct_hint:bool ->
@@ -17,7 +15,9 @@ val exec_insert :
   source:Sql.Ast.insert_source -> on_conflict:Sql.Ast.conflict_action ->
   outcome
 (** [distinct_hint] (default false) forwards to {!Table.insert_many}'s
-    [distinct_keys]. *)
+    [distinct_keys]. [INSERT OR REPLACE] replaces only the row holding
+    the new row's primary key, and fails on a UNIQUE secondary conflict;
+    [ON CONFLICT DO NOTHING] skips a row with either conflict. *)
 
 val exec_delete :
   Catalog.t -> Trigger.t -> table:string -> where:Sql.Ast.expr option -> outcome
@@ -26,5 +26,7 @@ val exec_update :
   Catalog.t -> Trigger.t -> table:string ->
   assignments:(string * Sql.Ast.expr) list -> where:Sql.Ast.expr option ->
   outcome
+(** Raises {!Error.Sql_error} when [assignments] name a column twice, as
+    PostgreSQL does. *)
 
 val exec_truncate : Catalog.t -> Trigger.t -> table:string -> outcome

@@ -208,17 +208,20 @@ and exec_node (catalog : Catalog.t) (plan : Plan.t) : result =
     { schema; rows = Table.to_rows (Catalog.find_table catalog table) }
   | Plan.Index_scan { table; index_name; key_exprs; _ } ->
     let tbl = Catalog.find_table catalog table in
-    let key =
-      Value.encode_key
-        (Array.of_list
-           (List.map (fun e -> compile_expr catalog [] e [||]) key_exprs))
-    in
-    let rows =
-      if index_name = "" then Option.to_list (Table.pk_lookup tbl key)
+    let index =
+      if index_name = "" then None
       else
         match Table.find_secondary tbl index_name with
-        | Some ix -> Table.index_lookup tbl ix key
+        | Some ix -> Some ix
         | None -> Error.fail "index %S vanished from table %S" index_name table
+    in
+    let values =
+      Array.of_list (List.map (fun e -> compile_expr catalog [] e [||]) key_exprs)
+    in
+    (* the pinning conjuncts are [=], which a NULL never satisfies *)
+    let rows =
+      if Array.exists Value.is_null values then []
+      else List.map snd (Table.probe tbl ~index values)
     in
     { schema; rows }
   | Plan.Materialized { rows; _ } -> { schema; rows }
@@ -415,21 +418,18 @@ and run_join catalog schema left right kind condition : result =
              index_positions
          in
          if same_set tbl.Table.primary_key then
-           Some (tbl, `Pk, order_for tbl.Table.primary_key)
+           Some (tbl, None, order_for tbl.Table.primary_key)
          else
            List.find_map
              (fun ix ->
                 if same_set ix.Table.key_positions then
-                  Some (tbl, `Secondary ix, order_for ix.Table.key_positions)
+                  Some (tbl, Some ix, order_for ix.Table.key_positions)
                 else None)
              tbl.Table.secondary)
     | _ -> None
   in
-  let inlj_lookup (tbl, which, order) (kvals : Row.t) : Row.t list =
-    let key = Value.encode_key (Array.map (fun j -> kvals.(j)) order) in
-    match which with
-    | `Pk -> Option.to_list (Table.pk_lookup tbl key)
-    | `Secondary ix -> Table.index_lookup tbl ix key
+  let inlj_lookup (tbl, index, order) (kvals : Row.t) : Row.t list =
+    List.map snd (Table.probe tbl ~index (Array.map (fun j -> kvals.(j)) order))
   in
   (* probe [probe_rows] into the indexed side; [combine] assembles the
      output row in left-to-right schema order *)

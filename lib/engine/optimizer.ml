@@ -106,12 +106,8 @@ type context = {
   table_of : string -> Table.t;
 }
 
-(** When every column of some index is pinned by a [col = const] conjunct,
-    replace the scan by an index lookup; leftover conjuncts stay above. *)
-let try_index_scan ctx ~table ~binding (cs : Sql.Ast.expr list) :
-  (Plan.t * Sql.Ast.expr list) option =
-  let tbl = ctx.table_of table in
-  let schema = Schema.requalify tbl.Table.schema binding in
+let pinned_index (tbl : Table.t) (schema : Schema.t) (cs : Sql.Ast.expr list) :
+  (Table.index option * (Sql.Ast.expr * Sql.Ast.expr) list) option =
   (* pinned columns: position -> (const expr, conjunct) *)
   let pinned = Hashtbl.create 8 in
   List.iter
@@ -135,32 +131,36 @@ let try_index_scan ctx ~table ~binding (cs : Sql.Ast.expr list) :
          try_pin b a
        | _ -> ())
     cs;
-  let candidate positions =
-    Array.for_all (fun i -> Hashtbl.mem pinned i) positions
-    && Array.length positions > 0
+  let covers positions =
+    Array.length positions > 0 && Array.for_all (Hashtbl.mem pinned) positions
   in
-  let chosen =
-    if Array.length tbl.Table.primary_key > 0 && candidate tbl.Table.primary_key
-    then Some ("", tbl.Table.primary_key)
-    else
-      List.find_map
-        (fun ix ->
-           if candidate ix.Table.key_positions then
-             Some (ix.Table.index_name, ix.Table.key_positions)
-           else None)
-        tbl.Table.secondary
+  let pin index positions =
+    Some (index, List.map (Hashtbl.find pinned) (Array.to_list positions))
   in
-  match chosen with
+  if covers tbl.Table.primary_key then pin None tbl.Table.primary_key
+  else
+    List.find_map
+      (fun ix ->
+         if covers ix.Table.key_positions then pin (Some ix) ix.Table.key_positions
+         else None)
+      tbl.Table.secondary
+
+(** Replace a scan by an index scan when {!pinned_index} finds an index;
+    the conjuncts it did not use stay above. *)
+let try_index_scan ctx ~table ~binding (cs : Sql.Ast.expr list) :
+  (Plan.t * Sql.Ast.expr list) option =
+  let tbl = ctx.table_of table in
+  match pinned_index tbl (Schema.requalify tbl.Table.schema binding) cs with
   | None -> None
-  | Some (index_name, positions) ->
-    let used =
-      Array.to_list (Array.map (fun i -> snd (Hashtbl.find pinned i)) positions)
+  | Some (index, pins) ->
+    let index_name =
+      match index with None -> "" | Some ix -> ix.Table.index_name
     in
-    let key_exprs =
-      Array.to_list (Array.map (fun i -> fst (Hashtbl.find pinned i)) positions)
-    in
+    let used = List.map snd pins in
     let leftover = List.filter (fun c -> not (List.memq c used)) cs in
-    Some (Plan.Index_scan { table; binding; index_name; key_exprs }, leftover)
+    Some
+      ( Plan.Index_scan { table; binding; index_name; key_exprs = List.map fst pins },
+        leftover )
 
 let rec rewrite ctx (plan : Plan.t) : Plan.t =
   let plan = Plan.map_children (rewrite ctx) plan in

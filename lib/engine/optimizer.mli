@@ -13,4 +13,13 @@ val conjuncts : Sql.Ast.expr -> Sql.Ast.expr list
 val conjoin : Sql.Ast.expr list -> Sql.Ast.expr
 (** [conjoin []] is [TRUE]. *)
 
+val pinned_index :
+  Table.t -> Schema.t -> Sql.Ast.expr list ->
+  (Table.index option * (Sql.Ast.expr * Sql.Ast.expr) list) option
+(** The one index choice of queries and DML. Given conjuncts over
+    [schema] (the table's, possibly requalified): the index each of whose
+    key columns a [col = const] conjunct pins, the primary key ([None])
+    first, else the first such secondary index; and per key column, in
+    key order, the constant and the conjunct it comes from. *)
+
 val optimize : Catalog.t -> Plan.t -> Plan.t

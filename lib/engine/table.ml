@@ -49,7 +49,8 @@ and journal = {
 and undo =
   | Grown of t * int  (** the slots from this length on were appended *)
   | Deleted of t * int * Row.t  (** the slot was tombstoned; its row *)
-  | Overwritten of t * int * Row.t  (** the slot's row before an upsert *)
+  | Overwritten of t * int * Row.t
+      (** the slot's row before {!overwrite_slot} *)
   | Truncated of t * storage  (** storage and indexes, kept, not copied *)
 
 and storage = {
@@ -82,6 +83,13 @@ let key_of_row (positions : int array) (row : Row.t) : string =
 
 let pk_key t row = key_of_row t.primary_key row
 
+(* Does [fresh] carry [old]'s key under [positions]? The columns an
+   UPDATE leaves alone are shared, not copied, which settles most calls
+   without encoding a key. *)
+let same_key positions (old : Row.t) (fresh : Row.t) =
+  Array.for_all (fun i -> old.(i) == fresh.(i)) positions
+  || String.equal (key_of_row positions old) (key_of_row positions fresh)
+
 (* --- iteration --- *)
 
 let iter_rows f t =
@@ -111,6 +119,48 @@ let index_remove_row (ix : index) slot row =
     let remaining = Slots.remove slot slots in
     if Slots.is_empty remaining then ignore (Art.remove ix.art key)
     else Art.insert ix.art key remaining
+
+(* Would [row] take a key a live slot already holds under UNIQUE index
+   [ix]? As in PostgreSQL, a key with a NULL column never collides. *)
+let unique_clash (ix : index) (row : Row.t) =
+  ix.unique
+  && (not (Array.exists (fun i -> Value.is_null row.(i)) ix.key_positions))
+  && Art.mem ix.art (key_of_row ix.key_positions row)
+
+(* Every write path runs this, per row, before it mutates anything. *)
+let rec check_unique (indexes : index list) (row : Row.t) =
+  match indexes with
+  | [] -> ()
+  | ix :: rest ->
+    if unique_clash ix row then
+      Error.fail "duplicate key in UNIQUE index %S: %s" ix.index_name
+        (Row.to_string row);
+    check_unique rest row
+
+(* Store [fresh] in [slot] over [old], moving only the index entries
+   whose key differs; [pk_moves] says whether the primary key's does. A
+   stale PK index is left to its rebuild. *)
+let rekey t slot ~pk_moves (old : Row.t) (fresh : Row.t) =
+  (match t.pk_index with
+   | Some pk when pk_moves && not t.pk_stale ->
+     ignore (Art.remove pk (pk_key t old));
+     Art.insert pk (pk_key t fresh) slot
+   | _ -> ());
+  List.iter
+    (fun ix ->
+       if not (same_key ix.key_positions old fresh) then begin
+         index_remove_row ix slot old;
+         index_add_row ix slot fresh
+       end)
+    t.secondary;
+  Vec.set t.slots slot (Some fresh)
+
+(* Push a row whose keys were checked; its PK entry is the caller's. *)
+let append t (row : Row.t) : int =
+  let slot = Vec.push t.slots (Some row) in
+  t.live <- t.live + 1;
+  List.iter (fun ix -> index_add_row ix slot row) t.secondary;
+  slot
 
 (* Rebuild a stale PK index in one sorted bulk pass. The bulk-append path
    duplicate-checks through a hashtable, so the slots hold distinct keys and
@@ -142,9 +192,12 @@ let create_index t ~index_name ~key_positions ~unique =
   if find_secondary t index_name <> None then
     Error.fail "index %S already exists" index_name;
   let ix = { index_name; key_positions; unique; art = Art.create () } in
-  iter_slots (fun slot row -> index_add_row ix slot row) t;
-  if unique && Art.length ix.art <> t.live then
-    Error.fail "cannot create UNIQUE index %S: duplicate keys" index_name;
+  iter_slots
+    (fun slot row ->
+       if unique_clash ix row then
+         Error.fail "cannot create UNIQUE index %S: duplicate keys" index_name;
+       index_add_row ix slot row)
+    t;
   t.secondary <- ix :: t.secondary;
   ix
 
@@ -165,12 +218,8 @@ let compact t =
   t.live <- 0;
   List.iter
     (fun row ->
-       let slot = Vec.push t.slots (Some row) in
-       t.live <- t.live + 1;
-       (match t.pk_index with
-        | Some pk -> Art.insert pk (pk_key t row) slot
-        | None -> ());
-       List.iter (fun ix -> index_add_row ix slot row) t.secondary)
+       let slot = append t row in
+       Option.iter (fun pk -> Art.insert pk (pk_key t row) slot) t.pk_index)
     rows
 
 let maybe_compact t =
@@ -228,11 +277,9 @@ let revert = function
      | _ -> ());
     List.iter (fun ix -> index_add_row ix slot row) t.secondary
   | Overwritten (t, slot, old) ->
-    (match Vec.get t.slots slot with
-     | Some cur -> List.iter (fun ix -> index_remove_row ix slot cur) t.secondary
-     | None -> ());
-    Vec.set t.slots slot (Some old);
-    List.iter (fun ix -> index_add_row ix slot old) t.secondary
+    (* live: a later delete of the slot was reverted before this *)
+    let cur = Option.get (Vec.get t.slots slot) in
+    rekey t slot ~pk_moves:(not (same_key t.primary_key cur old)) cur old
   | Truncated (t, s) ->
     t.slots <- s.old_slots;
     t.live <- s.old_live;
@@ -257,6 +304,9 @@ let check_arity t (row : Row.t) =
     Error.fail "table %S expects %d columns, got %d" t.name (arity t)
       (Array.length row)
 
+let duplicate_key t (row : Row.t) =
+  Error.fail "duplicate key in table %S: %s" t.name (Row.to_string row)
+
 (* plain append without an undo record: callers log one [Grown] first *)
 let insert_at t (row : Row.t) : unit =
   check_arity t row;
@@ -267,20 +317,16 @@ let insert_at t (row : Row.t) : unit =
     | Some pk ->
       (* encode the key once for both the duplicate check and the insert *)
       let key = pk_key t row in
-      if Art.mem pk key then
-        Error.fail "duplicate key in table %S: %s" t.name (Row.to_string row);
+      if Art.mem pk key then duplicate_key t row;
       Some (pk, key)
   in
-  let slot = Vec.push t.slots (Some row) in
-  t.live <- t.live + 1;
-  (match pk_entry with
-   | Some (pk, key) -> Art.insert pk key slot
-   | None -> ());
-  List.iter (fun ix -> index_add_row ix slot row) t.secondary
+  check_unique t.secondary row;
+  let slot = append t row in
+  match pk_entry with Some (pk, key) -> Art.insert pk key slot | None -> ()
 
 let log_growth t = if journaling t then log t (Grown (t, Vec.length t.slots))
 
-(** Plain append; raises on PK violation. *)
+(** Plain append; raises on a PK or UNIQUE violation. *)
 let insert t (row : Row.t) : unit =
   log_growth t;
   insert_at t row
@@ -309,9 +355,8 @@ let insert_many ?(distinct_keys = false) t (rows : Row.t list) : unit =
       List.iter
         (fun row ->
            check_arity t row;
-           let slot = Vec.push t.slots (Some row) in
-           t.live <- t.live + 1;
-           List.iter (fun ix -> index_add_row ix slot row) t.secondary)
+           check_unique t.secondary row;
+           ignore (append t row))
         rows
     else begin
       let seen = Hashtbl.create 1024 in
@@ -322,59 +367,92 @@ let insert_many ?(distinct_keys = false) t (rows : Row.t list) : unit =
            (* replace + length delta = membership test with a single hash *)
            let before = Hashtbl.length seen in
            Hashtbl.replace seen key ();
-           if Hashtbl.length seen = before then
-             Error.fail "duplicate key in table %S: %s" t.name
-               (Row.to_string row);
-           let slot = Vec.push t.slots (Some row) in
-           t.live <- t.live + 1;
-           List.iter (fun ix -> index_add_row ix slot row) t.secondary)
+           if Hashtbl.length seen = before then duplicate_key t row;
+           check_unique t.secondary row;
+           ignore (append t row))
         rows
     end
   | _ ->
     log_growth t;
     List.iter (insert_at t) rows
 
-(** Result of an upsert, so triggers can report the net change. *)
-type upsert_outcome =
-  | Inserted
-  | Replaced of Row.t  (** the displaced row *)
+let cons_live t slot acc =
+  match Vec.get t.slots slot with Some row -> (slot, row) :: acc | None -> acc
 
-(** INSERT OR REPLACE: requires a primary key. *)
-let upsert t (row : Row.t) : upsert_outcome =
+(* The live rows under an encoded key, with their slots, ascending. *)
+let find_key t (index : index option) (key : string) : (int * Row.t) list =
+  match index with
+  | Some ix ->
+    (match Art.find ix.art key with
+     | None -> []
+     | Some slots -> List.rev (Slots.fold (cons_live t) slots []))
+  | None ->
+    ensure_pk t;
+    (match t.pk_index with
+     | None -> []
+     | Some pk ->
+       (match Art.find pk key with None -> [] | Some slot -> cons_live t slot []))
+
+let probe t ~(index : index option) (values : Value.t array) :
+  (int * Row.t) list =
+  Buffer.clear key_buf;
+  Array.iter (Value.encode_into key_buf) values;
+  find_key t index (Buffer.contents key_buf)
+
+let index_lookup t (ix : index) (key : string) : Row.t list =
+  List.map snd (find_key t (Some ix) key)
+
+let pk_lookup t (key : string) : Row.t option =
+  Option.map snd (List.nth_opt (find_key t None key) 0)
+
+(* The live slot holding [row]'s primary key, if any. *)
+let pk_holder t (row : Row.t) : (int * Row.t) option =
+  if Option.is_none t.pk_index then None
+  else List.nth_opt (find_key t None (pk_key t row)) 0
+
+(* [overwrite_slot] once the primary key is checked *)
+let overwrite t slot ~pk_moves (old : Row.t) (fresh : Row.t) =
+  check_unique
+    (List.filter
+       (fun ix -> ix.unique && not (same_key ix.key_positions old fresh))
+       t.secondary)
+    fresh;
+  if journaling t then log t (Overwritten (t, slot, old));
+  rekey t slot ~pk_moves old fresh
+
+let overwrite_slot t slot (fresh : Row.t) : unit =
+  check_arity t fresh;
+  let old =
+    match Vec.get t.slots slot with
+    | Some old -> old
+    | None -> invalid_arg "Table.overwrite_slot: dead slot"
+  in
+  let pk_moves = not (same_key t.primary_key old fresh) in
+  (* refuse before anything changes; [pk_holder] also rebuilds a stale
+     PK index, which [rekey] then edits *)
+  if pk_moves && pk_holder t fresh <> None then duplicate_key t fresh;
+  overwrite t slot ~pk_moves old fresh
+
+let upsert t (row : Row.t) : Row.t option =
   check_arity t row;
-  ensure_pk t;
-  match t.pk_index with
-  | None -> Error.fail "INSERT OR REPLACE on table %S without a primary key" t.name
-  | Some pk ->
-    let key = pk_key t row in
-    (match Art.find pk key with
-     | Some slot ->
-       (match Vec.get t.slots slot with
-        | Some old ->
-          if journaling t then log t (Overwritten (t, slot, old));
-          List.iter (fun ix -> index_remove_row ix slot old) t.secondary;
-          Vec.set t.slots slot (Some row);
-          List.iter (fun ix -> index_add_row ix slot row) t.secondary;
-          Replaced old
-        | None ->
-          (* dangling index entry: repair by treating as insert *)
-          ignore (Art.remove pk key);
-          insert t row;
-          Inserted)
-     | None ->
-       insert t row;
-       Inserted)
+  if Option.is_none t.pk_index then
+    Error.fail "INSERT OR REPLACE on table %S without a primary key" t.name;
+  match pk_holder t row with
+  | Some (slot, old) ->
+    overwrite t slot ~pk_moves:false old row;
+    Some old
+  | None ->
+    insert t row;
+    None
 
-(** Insert skipping duplicates (ON CONFLICT DO NOTHING). Returns true when
-    the row was inserted. *)
 let insert_ignore t (row : Row.t) : bool =
   check_arity t row;
-  ensure_pk t;
-  match t.pk_index with
-  | None -> insert t row; true
-  | Some pk ->
-    if Art.mem pk (pk_key t row) then false
-    else begin insert t row; true end
+  if pk_holder t row <> None || List.exists (fun ix -> unique_clash ix row) t.secondary
+  then false
+  else begin
+    insert t row;
+    true
+  end
 
 let delete_slot t slot : Row.t option =
   match Vec.get t.slots slot with
@@ -387,35 +465,10 @@ let delete_slot t slot : Row.t option =
      | Some pk when not t.pk_stale -> ignore (Art.remove pk (pk_key t row))
      | _ -> ());
     List.iter (fun ix -> index_remove_row ix slot row) t.secondary;
+    (* compaction renumbers slots, so it waits for the end of the
+       outermost unit rather than run under a caller still walking them *)
+    if journaling t then maybe_compact t;
     Some row
-
-(** Delete all rows matching [predicate]; returns them. *)
-let delete_where t (predicate : Row.t -> bool) : Row.t list =
-  let victims = ref [] in
-  iter_slots (fun slot row -> if predicate row then victims := (slot, row) :: !victims) t;
-  let deleted =
-    List.filter_map (fun (slot, _) -> delete_slot t slot) !victims
-  in
-  maybe_compact t;
-  List.rev deleted
-
-(** In-place update; returns (old, new) pairs. PK updates are supported by
-    delete+insert underneath. *)
-let update_where t (predicate : Row.t -> bool) (transform : Row.t -> Row.t) :
-  (Row.t * Row.t) list =
-  let targets = ref [] in
-  iter_slots (fun slot row -> if predicate row then targets := (slot, row) :: !targets) t;
-  let changed = ref [] in
-  List.iter
-    (fun (slot, old) ->
-       let fresh = transform old in
-       check_arity t fresh;
-       ignore (delete_slot t slot);
-       insert t fresh;
-       changed := (old, fresh) :: !changed)
-    (List.rev !targets);
-  maybe_compact t;
-  List.rev !changed
 
 let truncate t : int =
   let n = t.live in
@@ -438,33 +491,3 @@ let truncate t : int =
   List.iter (fun ix -> ix.art <- Art.create ()) t.secondary;
   t.live <- 0;
   n
-
-(** Rows whose index key equals [key] under secondary index [ix], in
-    slot order. *)
-let index_lookup t (ix : index) (key : string) : Row.t list =
-  match Art.find ix.art key with
-  | None -> []
-  | Some slots ->
-    List.filter_map (fun slot -> Vec.get t.slots slot) (Slots.elements slots)
-
-(** Live slots whose index key equals [key], ascending. *)
-let index_slots t (ix : index) (key : string) : int list =
-  match Art.find ix.art key with
-  | None -> []
-  | Some slots ->
-    List.filter (fun slot -> Vec.get t.slots slot <> None) (Slots.elements slots)
-
-let pk_slot t (key : string) : int option =
-  ensure_pk t;
-  match t.pk_index with
-  | None -> None
-  | Some pk -> Art.find pk key
-
-let pk_lookup t (key : string) : Row.t option =
-  ensure_pk t;
-  match t.pk_index with
-  | None -> None
-  | Some pk ->
-    (match Art.find pk key with
-     | None -> None
-     | Some slot -> Vec.get t.slots slot)

@@ -3,6 +3,11 @@
     secondary ART indexes. Compaction rebuilds storage and indexes when
     more than half the slots are dead.
 
+    A row is found through {!probe} or {!iter_slots} and changed through
+    {!overwrite_slot} or {!delete_slot}. Every write path refuses, before
+    it mutates anything, a UNIQUE key another live row holds; as in
+    PostgreSQL, a key with a NULL column never collides.
+
     The tables of one database share its undo {!journal}: while a unit is
     open, every mutation records how to revert itself, and rolling back
     replays those records newest first, indexes included. *)
@@ -40,9 +45,6 @@ val create :
 val arity : t -> int
 val row_count : t -> int
 
-val key_of_row : int array -> Row.t -> string
-val pk_key : t -> Row.t -> string
-
 val iter_rows : (Row.t -> unit) -> t -> unit
 val iter_slots : (int -> Row.t -> unit) -> t -> unit
 val to_rows : t -> Row.t list
@@ -59,14 +61,15 @@ val drop_index : t -> index_name:string -> unit
     only what ran since its own savepoint, and an inner release keeps its
     records for the outer unit. While any unit is open, mutations record:
     - {!insert}, {!insert_many}: the slots appended;
-    - {!delete_slot} (and so {!delete_where}, {!update_where}): the slot
-      and its row;
-    - {!upsert}: the slot and the row it overwrote;
+    - {!delete_slot}: the slot and its row;
+    - {!overwrite_slot} (so UPDATE and {!upsert}): the slot and the row it
+      replaced; its revert also moves the PK entry back when the key
+      moved;
     - {!truncate}: the old storage and index objects, kept, not copied.
 
     Compaction renumbers slots, so it waits until the outermost unit
-    ends. Catalog changes (tables and indexes created or dropped) are not
-    recorded. *)
+    ends; {!delete_slot} asks for one only inside a unit. Catalog changes
+    (tables and indexes created or dropped) are not recorded. *)
 
 type savepoint
 
@@ -84,7 +87,8 @@ val rollback_to : journal -> savepoint -> unit
     and secondary indexes are reverted with the rows. *)
 
 val insert : t -> Row.t -> unit
-(** Raises {!Error.Sql_error} on arity mismatch or PK violation. *)
+(** Raises {!Error.Sql_error} on arity mismatch or a PK or UNIQUE
+    violation. *)
 
 val insert_many : ?distinct_keys:bool -> t -> Row.t list -> unit
 (** Bulk append, semantically [List.iter (insert t)] (rows before a
@@ -97,26 +101,40 @@ val insert_many : ?distinct_keys:bool -> t -> Row.t list -> unit
     pairwise-distinct primary keys, skipping the duplicate check and its
     key encoding; the promise is verified by the sorted rebuild. *)
 
-type upsert_outcome =
-  | Inserted
-  | Replaced of Row.t  (** the displaced row *)
+val overwrite_slot : t -> int -> Row.t -> unit
+(** Replace the row in a live slot, in place. The PK index is re-keyed
+    only when the primary key changes, and a secondary index only when
+    its own key does. A new key another live row holds raises
+    {!Error.Sql_error} before anything changes, so a statement moving
+    keys is checked row by row, as a non-deferrable key is in
+    PostgreSQL. *)
 
-val upsert : t -> Row.t -> upsert_outcome
-(** INSERT OR REPLACE through the PK index; requires a primary key. *)
+val upsert : t -> Row.t -> Row.t option
+(** INSERT OR REPLACE through the PK index; requires a primary key and
+    returns the row it displaced, if any. Only a PK conflict replaces (through
+    {!overwrite_slot}); a UNIQUE secondary conflict raises. *)
 
 val insert_ignore : t -> Row.t -> bool
-(** ON CONFLICT DO NOTHING; returns whether the row was inserted. *)
+(** ON CONFLICT DO NOTHING: skips a row whose primary or UNIQUE key is
+    held; returns whether the row was inserted. *)
 
 val delete_slot : t -> int -> Row.t option
-val delete_where : t -> (Row.t -> bool) -> Row.t list
-val update_where : t -> (Row.t -> bool) -> (Row.t -> Row.t) -> (Row.t * Row.t) list
+(** Tombstone a slot; returns its row, or [None] if it was dead. *)
+
 val truncate : t -> int
 
+val probe : t -> index:index option -> Value.t array -> (int * Row.t) list
+(** The live rows, with their slots in ascending order, whose key under
+    [index] (the primary key when [None]) is [values], one value per key
+    column in key order. Values match as under [IS NOT DISTINCT FROM]:
+    numbers by value (see {!Value.encode_key}), and a NULL matches a
+    NULL, so a caller applying SQL [=] must match nothing when a value is
+    NULL. A table without a primary key answers [~index:None] with no
+    row. *)
+
 val index_lookup : t -> index -> string -> Row.t list
-(** The rows under [key] in secondary index [ix], in slot order. *)
+(** The rows under an encoded key ({!Value.encode_key}) in a secondary
+    index, in slot order. *)
 
-val index_slots : t -> index -> string -> int list
-(** The live slots under [key] in [ix], ascending. *)
-
-val pk_slot : t -> string -> int option
 val pk_lookup : t -> string -> Row.t option
+(** The row under an encoded primary key. *)

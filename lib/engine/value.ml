@@ -139,14 +139,18 @@ let compare a b =
 
 let equal a b = compare a b = 0
 
+(* The int an integral float equals, for hashing and keys to treat it as
+   that int; past the bound [equal] is no longer transitive *)
+let int_of_integral f =
+  if Float.is_integer f && Float.abs f < 1e15 then Some (int_of_float f)
+  else None
+
 let hash = function
   | Null -> 17
   | Bool b -> if b then 31 else 37
   | Int i -> Hashtbl.hash i
   | Float f ->
-    (* an integral float must hash like the equal int *)
-    if Float.is_integer f && Float.abs f < 1e15 then Hashtbl.hash (int_of_float f)
-    else Hashtbl.hash f
+    (match int_of_integral f with Some i -> Hashtbl.hash i | None -> Hashtbl.hash f)
   | Str s -> Hashtbl.hash s
   | Date d -> Hashtbl.hash (d + 0x5ca1ab1e)
 
@@ -162,9 +166,9 @@ let as_bool = function
   | Null -> false
   | v -> Error.fail "cannot use %s (%s) as a boolean" (to_string v) (type_name v)
 
-(* --- order-preserving byte encoding, used as ART index keys --- *)
+(* --- byte encoding, used as ART index keys --- *)
 
-let encode_into buf v =
+let rec encode_into buf v =
   let add_tag c = Buffer.add_char buf c in
   match v with
   | Null -> add_tag '\x00'
@@ -175,16 +179,18 @@ let encode_into buf v =
     (* flip sign bit so that signed order = lexicographic byte order *)
     Buffer.add_int64_be buf (Int64.logxor (Int64.of_int i) Int64.min_int)
   | Float f ->
-    add_tag '\x03';
-    (* encode floats into the int key space via their integer part when
-       integral, else a distinct tag — IVM keys are ints/strings/dates, so
-       exact cross-type key order for floats is not load-bearing. *)
-    let bits = Int64.bits_of_float f in
-    let u =
-      if Int64.compare bits 0L >= 0 then Int64.logxor bits Int64.min_int
-      else Int64.lognot bits
-    in
-    Buffer.add_int64_be buf u
+    (* keys agree with [equal]: an integral float is the int it equals,
+       and any other float has a tag of its own *)
+    (match int_of_integral f with
+     | Some i -> encode_into buf (Int i)
+     | None ->
+       add_tag '\x04';
+       let bits = Int64.bits_of_float f in
+       let u =
+         if Int64.compare bits 0L >= 0 then Int64.logxor bits Int64.min_int
+         else Int64.lognot bits
+       in
+       Buffer.add_int64_be buf u)
   | Str s ->
     add_tag '\x05';
     (* escape 0x00 so concatenated keys cannot collide, terminate with 00 00 *)

@@ -1,5 +1,5 @@
-(** Runtime values and their total order, hashing, and order-preserving
-    byte encoding (the ART key format). *)
+(** Runtime values and their total order, hashing, and byte encoding
+    (the ART key format). *)
 
 type t =
   | Null
@@ -26,9 +26,8 @@ val to_string_exact : t -> string
     write, so durable state is loss-free. *)
 
 val compare : t -> t -> int
-(** Total order used by ORDER BY / GROUP BY / indexes: NULL first, then
-    booleans, numerics (ints and floats compare numerically), strings,
-    dates. *)
+(** Total order used by ORDER BY / GROUP BY: NULL first, then booleans,
+    numerics (ints and floats compare numerically), strings, dates. *)
 
 val equal : t -> t -> bool
 val hash : t -> int
@@ -38,9 +37,15 @@ val as_float : t -> float
 val as_bool : t -> bool
 
 val encode_key : t array -> string
-(** Injective, order-preserving byte encoding of a value tuple, used as
-    ART index keys. *)
+(** Byte encoding of a value tuple, used as ART index keys. Two tuples
+    get the same key iff they are {!equal} column by column, for numbers
+    within the bound {!hash} uses (|x| < 1e15): an integral float is
+    encoded as the int it equals. Past the bound [equal] itself is not
+    transitive. Keys keep the order of the type ranks (NULL < BOOLEAN <
+    numerics < VARCHAR < DATE) and, within a rank, of ints (integral
+    floats among them), of the other floats, of strings and of dates;
+    those other floats sort after every int. *)
 
 val encode_into : Buffer.t -> t -> unit
-(** Append one value's order-preserving encoding to a caller-owned buffer
-    ({!encode_key} minus the per-call allocation, for hot key loops). *)
+(** Append one value's encoding to a caller-owned buffer ({!encode_key}
+    minus the per-call allocation, for hot key loops). *)

@@ -89,6 +89,28 @@ let qcheck =
          let kb = Value.encode_key [| Value.Str b |] in
          (String.compare a b < 0) = (String.compare ka kb < 0)
          || String.equal a b);
+    (* ints anywhere, float bit patterns included; floats integral or not,
+       within the bound past which [Value.equal] stops being transitive *)
+    Test.make ~count:2000 ~name:"encode_key agrees with equal on mixed numbers"
+      (let open Gen in
+       let bound = 999_999_999_999_999 in
+       let num =
+         frequency
+           [ (3, map (fun i -> Value.Int i) (int_range (-8) 8));
+             (3, map (fun i -> Value.Float (float_of_int i /. 4.)) (int_range (-32) 32));
+             (1, map (fun i -> Value.Int i) int);
+             (1, map (fun i -> Value.Int i) (int_range (-bound) bound));
+             (1, map (fun i -> Value.Float (float_of_int i)) (int_range (-bound) bound));
+             (1, map (fun f -> Value.Int (Int64.to_int (Int64.bits_of_float f)))
+                   (float_range (-4.) 4.)) ]
+       in
+       let same = map (fun i -> (Value.Int i, Value.Float (float_of_int i))) (int_range (-bound) bound) in
+       make
+         ~print:(fun (a, b) -> Value.to_string_exact a ^ " vs " ^ Value.to_string_exact b)
+         (frequency [ (4, pair num num); (1, same) ]))
+      (fun (a, b) ->
+         String.equal (Value.encode_key [| a |]) (Value.encode_key [| b |])
+         = Value.equal a b);
     Test.make ~count:1000 ~name:"civil/days conversion is a bijection"
       (triple (int_range 1600 2400) (int_range 1 12) (int_range 1 28))
       (fun (year, month, day) ->
