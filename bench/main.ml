@@ -1,568 +1,68 @@
-(** Benchmark harness regenerating every evaluation claim of the paper
-    (see DESIGN.md §4 for the experiment index):
+(** Benchmark harness for the paper's evaluation claims (DESIGN.md §4
+    maps each claim to its family). Every family emits rows of one kind:
+    a (shape, strategy) pair, the seconds of its timed reps after one
+    discarded warm-up, a check, and named extras that include the sizes
+    the row ran at. A family that sweeps sizes also puts them in the
+    strategy slot, so (shape, strategy) stays unique. All rows take one
+    path: each prints as one line [shape/strategy median extras]; a row
+    whose check failed is named on stderr and the run exits 1 without
+    writing a file; otherwise the rows land in [--out] (default
+    BENCH_refresh.json). The families and their checks:
 
-    - E1  IVM propagation vs full recomputation (base-size × delta-size sweep)
-    - E2  ART index build strategies and upsert acceleration
-    - E3  the demo's 4-way comparison: pure OLAP / pure OLTP /
-          cross-system with IVM / cross-system without IVM
-    - E4  combine-strategy and refresh-granularity ablations
-    - E5  compiler latency per view class
-    - the refresh benchmark (paper Figure 4): strategy × view-shape
-      propagation medians, emitted as machine-readable JSON (--out,
-      default BENCH_refresh.json) with a built-in correctness gate —
-      the run exits nonzero naming any view whose maintained contents
-      diverge from a full recompute. `--refresh-only` (with `--reps N`)
-      runs just this part; the `@bench` alias does so at small scale.
+    - the ten refresh shapes (paper Figure 4): propagation medians per
+      view shape and combine strategy; every view of the stack equals a
+      full recompute of its defining query;
+    - [recovery]: cold start, WAL replay and checkpoint load of a
+      durable store; the recovered view equals a recompute;
+    - [multi_session_churn] and [multi_session_churn_eager]: 160 DML
+      units from 1, 4 and 16 concurrent sessions through the scheduler;
+      every view equals a recompute;
+    - [bulk_update]: an all-rows UPDATE under a 2-value index; lookups
+      equal a filtered scan, a non-key UPDATE keeps the slot count;
+    - [scaling] (E1, E4a): the SUM/COUNT view under all five strategies
+      across base and delta sizes, and the TPC-H-lite revenue join view
+      under [upsert_linear] and [full_recompute]; as the refresh shapes;
+    - [art_build] (E2a): per-row, bulk and 16-chunk merged ART builds;
+      each tree lists the input bindings;
+    - [upsert_index] (E2b): upserts with and without the ART primary
+      key; both tables end with the same rows;
+    - [htap_fresh_answer] (E3): time to a fresh analytical answer in
+      four deployments; the deployments agree every round;
+    - [refresh_granularity] (E4b, E4c): eager refresh against lazy
+      refresh every k statements; the stored view is fresh;
+    - [compile] (E5): compiler latency per view class; the view installs
+      and equals a recompute after one delta.
 
-    Each experiment prints a table of the same series the paper's demo
-    reports. Absolute numbers reflect the Minidb substrate, but the
-    *shapes* (who wins, by what factor, where crossovers fall) are the
-    reproduction targets recorded in EXPERIMENTS.md. *)
+    Options: [--small] or [--full] (default: medium scale), [--reps N]
+    (default 5), [--out FILE]. [dune build @bench] runs
+    [--small --reps 2]. Absolute numbers reflect the Minidb substrate;
+    EXPERIMENTS.md judges the paper's shapes from the committed
+    medium-scale file. *)
 
 open Openivm_engine
 open Openivm_workload
 
 let pp_duration = Openivm_obs.Report.pp_duration
 
-(** Wall time of [f ()], read through [Openivm_obs.Clock] like every span;
-    [~best_of:n] keeps the fastest of [n] runs to cut scheduler noise. *)
-let rec time_unit ?(best_of = 1) f =
+(** Wall time of [f ()], read through [Openivm_obs.Clock] like every span. *)
+let time_unit f =
   let t0 = Openivm_obs.Clock.now () in
   f ();
-  let dt = Openivm_obs.Clock.now () -. t0 in
-  if best_of <= 1 then dt else Float.min dt (time_unit ~best_of:(best_of - 1) f)
+  Openivm_obs.Clock.now () -. t0
 
 let scale = ref `Medium
+let out = ref "BENCH_refresh.json"
+let reps = ref 5
 
-let sizes () =
-  match !scale with
-  | `Small -> ([ 5_000; 20_000 ], [ 10; 100; 1_000 ])
-  | `Medium -> ([ 10_000; 50_000; 200_000 ], [ 10; 100; 1_000; 10_000 ])
-  | `Full -> ([ 10_000; 100_000; 1_000_000 ], [ 10; 100; 1_000; 10_000; 100_000 ])
+let by_scale ~small ~medium ~full =
+  match !scale with `Small -> small | `Medium -> medium | `Full -> full
 
-(* --- shared setup --- *)
-
-let groups_view_sql =
-  "CREATE MATERIALIZED VIEW query_groups AS SELECT group_index, \
-   SUM(group_value) AS total_value, COUNT(*) AS n FROM groups GROUP BY \
-   group_index"
-
-let setup_groups_db ~rows ~domain ~strategy : Database.t * Openivm.Runner.view =
-  let db = Database.create () in
-  ignore (Database.exec db Datagen.groups_ddl);
-  Datagen.populate_groups ~domain db (Datagen.create ()) ~rows;
-  let flags = { Openivm.Flags.default with strategy } in
-  let v = Openivm.Runner.install ~flags db groups_view_sql in
-  (db, v)
-
-(* best-of-3 to suppress scheduler noise: each round applies a fresh delta
-   of the same size and times only the propagation *)
-let apply_and_refresh db v gen ~delta_rows ~domain =
-  let best = ref infinity in
-  for _ = 1 to 3 do
-    let delta = Datagen.groups_delta_rows ~domain gen ~rows:delta_rows in
-    Datagen.apply_groups_delta db delta;
-    let dt = time_unit (fun () -> Openivm.Runner.force_refresh v) in
-    if dt < !best then best := dt
-  done;
-  !best
-
-(* --- E1: IVM vs full recomputation --- *)
-
-let e1 () =
-  let bases, deltas = sizes () in
-  let report =
-    Report.create ~title:"E1: incremental propagation vs full recomputation"
-      ~headers:
-        [ "base rows"; "delta rows"; "ivm refresh"; "recompute"; "speedup" ]
-  in
-  List.iter
-    (fun base ->
-       let domain = max 100 (base / 100) in
-       List.iter
-         (fun delta ->
-            if delta <= base then begin
-              let db_ivm, v_ivm =
-                setup_groups_db ~rows:base ~domain
-                  ~strategy:Openivm.Flags.Upsert_linear
-              in
-              let db_full, v_full =
-                setup_groups_db ~rows:base ~domain
-                  ~strategy:Openivm.Flags.Full_recompute
-              in
-              let gen = Datagen.create ~seed:77 () in
-              let t_ivm =
-                apply_and_refresh db_ivm v_ivm gen ~delta_rows:delta ~domain
-              in
-              let gen = Datagen.create ~seed:77 () in
-              let t_full =
-                apply_and_refresh db_full v_full gen ~delta_rows:delta ~domain
-              in
-              Report.add_row report
-                [ string_of_int base; string_of_int delta;
-                  pp_duration t_ivm; pp_duration t_full;
-                  Report.speedup t_full t_ivm ]
-            end)
-         deltas)
-    bases;
-  Report.print report
-
-(* --- E1b: the same sweep over a 3-way join view (TPC-H-lite) --- *)
-
-let e1b () =
-  let orders_list, deltas =
-    match !scale with
-    | `Small -> ([ 500 ], [ 10; 50 ])
-    | `Medium -> ([ 1_000; 4_000 ], [ 10; 50; 200 ])
-    | `Full -> ([ 1_000; 4_000; 16_000 ], [ 10; 50; 200; 1_000 ])
-  in
-  let report =
-    Report.create
-      ~title:
-        "E1b: 3-way join view (TPC-H-lite revenue) — IVM vs recompute"
-      ~headers:
-        [ "orders"; "delta orders"; "ivm refresh"; "recompute"; "speedup" ]
-  in
-  List.iter
-    (fun orders ->
-       List.iter
-         (fun delta ->
-            let setup strategy =
-              let db = Database.create () in
-              List.iter (fun sql -> ignore (Database.exec db sql))
-                Tpch_lite.all_ddl;
-              let gen = Tpch_lite.create ~customers:(max 50 (orders / 10)) () in
-              Tpch_lite.populate db gen ~orders;
-              let flags = { Openivm.Flags.default with strategy } in
-              let v = Openivm.Runner.install ~flags db Tpch_lite.revenue_view in
-              (db, gen, v)
-            in
-            let run (db, gen, v) =
-              let best = ref infinity in
-              for _ = 1 to 3 do
-                for _ = 1 to delta do
-                  List.iter (fun sql -> ignore (Database.exec db sql))
-                    (Tpch_lite.order_statements gen)
-                done;
-                List.iter (fun sql -> ignore (Database.exec db sql))
-                  (Tpch_lite.cancel_statements gen);
-                let dt =
-                  time_unit (fun () -> Openivm.Runner.force_refresh v)
-                in
-                if dt < !best then best := dt
-              done;
-              !best
-            in
-            let t_ivm = run (setup Openivm.Flags.Upsert_linear) in
-            let t_full = run (setup Openivm.Flags.Full_recompute) in
-            Report.add_row report
-              [ string_of_int orders; string_of_int delta;
-                pp_duration t_ivm; pp_duration t_full;
-                Report.speedup t_full t_ivm ])
-         deltas)
-    orders_list;
-  Report.print report
-
-(* --- E2: ART index build strategies and upsert speed --- *)
-
-let e2 () =
-  let ns = match !scale with
-    | `Small -> [ 10_000; 50_000 ]
-    | `Medium -> [ 10_000; 100_000; 400_000 ]
-    | `Full -> [ 10_000; 100_000; 1_000_000 ]
-  in
-  let report =
-    Report.create ~title:"E2a: ART build — per-row inserts vs bulk vs chunked merge"
-      ~headers:[ "keys"; "insert each"; "bulk sorted"; "16 chunks + merge" ]
-  in
-  List.iter
-    (fun n ->
-       let bindings =
-         Array.init n (fun i -> (Value.encode_key [| Value.Int i |], i))
-       in
-       let t_insert =
-         time_unit ~best_of:3 (fun () ->
-             let t = Art.create () in
-             Array.iter (fun (k, v) -> Art.insert t k v) bindings)
-       in
-       let t_bulk =
-         time_unit ~best_of:3 (fun () -> ignore (Art.of_sorted bindings))
-       in
-       let chunks = 16 in
-       let t_chunked =
-         time_unit ~best_of:3 (fun () ->
-             let size = (n + chunks - 1) / chunks in
-             let parts =
-               List.init chunks (fun c ->
-                   let lo = c * size in
-                   let hi = min n (lo + size) in
-                   if hi <= lo then Art.create ()
-                   else Art.of_sorted (Array.sub bindings lo (hi - lo)))
-             in
-             match parts with
-             | [] -> ()
-             | first :: rest ->
-               List.iter
-                 (fun part -> Art.merge ~combine:(fun _ v -> v) first part)
-                 rest)
-       in
-       Report.add_row report
-         [ string_of_int n; pp_duration t_insert;
-           pp_duration t_bulk; pp_duration t_chunked ])
-    ns;
-  Report.print report;
-  (* E2b: upserting into a materialized aggregate with / without the ART
-     PK (without = delete-then-insert by predicate scan) *)
-  let base = match !scale with `Small -> 20_000 | `Medium -> 100_000 | `Full -> 400_000 in
-  let batch = 1_000 in
-  let report2 =
-    Report.create
-      ~title:
-        (Printf.sprintf
-           "E2b: applying %d group upserts into a %d-group view" batch base)
-      ~headers:[ "method"; "time"; "per row" ]
-  in
-  let mk_db () =
-    let db = Database.create () in
-    ignore (Database.exec db "CREATE TABLE v(k INTEGER PRIMARY KEY, s INTEGER)");
-    let tbl = Catalog.find_table (Database.catalog db) "v" in
-    Trigger.without_hooks (Database.triggers db) (fun () ->
-        for i = 0 to base - 1 do
-          Table.insert tbl [| Value.Int i; Value.Int (i * 3) |]
-        done);
-    db
-  in
-  let db = mk_db () in
-  let t_upsert =
-    time_unit (fun () ->
-        for i = 0 to batch - 1 do
-          ignore
-            (Database.exec db
-               (Printf.sprintf "INSERT OR REPLACE INTO v VALUES (%d, %d)"
-                  (i * 97 mod base) i))
-        done)
-  in
-  Report.add_row report2
-    [ "ART-indexed upsert"; pp_duration t_upsert;
-      pp_duration (t_upsert /. float_of_int batch) ];
-  let db2 = Database.create () in
-  ignore (Database.exec db2 "CREATE TABLE v(k INTEGER, s INTEGER)");
-  let tbl2 = Catalog.find_table (Database.catalog db2) "v" in
-  Trigger.without_hooks (Database.triggers db2) (fun () ->
-      for i = 0 to base - 1 do
-        Table.insert tbl2 [| Value.Int i; Value.Int (i * 3) |]
-      done);
-  let t_scan =
-    time_unit (fun () ->
-        for i = 0 to batch - 1 do
-          let key = i * 97 mod base in
-          ignore
-            (Database.exec db2
-               (Printf.sprintf "DELETE FROM v WHERE k = %d" key));
-          ignore
-            (Database.exec db2
-               (Printf.sprintf "INSERT INTO v VALUES (%d, %d)" key i))
-        done)
-  in
-  Report.add_row report2
-    [ "unindexed delete+insert"; pp_duration t_scan;
-      pp_duration (t_scan /. float_of_int batch) ];
-  Report.print report2
-
-(* --- E3: the demo's 4-way cross-system comparison --- *)
-
-let e3 () =
-  let seed_rows, batch_rows, rounds =
-    match !scale with
-    | `Small -> (10_000, 200, 3)
-    | `Medium -> (50_000, 500, 4)
-    | `Full -> (200_000, 1_000, 5)
-  in
-  (* the OLTP side indexes the transaction key, as any OLTP system would *)
-  let schema_sql =
-    Datagen.groups_ddl ^ "; CREATE INDEX idx_groups_key ON groups(group_index);"
-  in
-  let analytical =
-    "SELECT group_index, SUM(group_value) AS total_value, COUNT(*) AS n FROM \
-     groups GROUP BY group_index"
-  in
-  let report =
-    Report.create
-      ~title:
-        (Printf.sprintf
-           "E3: time to a fresh analytical answer (%d seed rows, %d-stmt \
-            tx batches, mean of %d rounds)"
-           seed_rows batch_rows rounds)
-      ~headers:[ "deployment"; "tx batch"; "fresh answer"; "total" ]
-  in
-  let tx_seed = 4242 in
-  (* (a) pure OLAP embedded engine + IVM *)
-  let bench_pure_olap () =
-    let db = Database.create () in
-    ignore (Database.exec_script db schema_sql);
-    let tx = Openivm_htap.Txgen.create ~seed:tx_seed () in
-    List.iter (fun sql -> ignore (Database.exec db sql))
-      (Openivm_htap.Txgen.seed_rows tx seed_rows);
-    let v = Openivm.Runner.install db ("CREATE MATERIALIZED VIEW query_groups AS " ^ analytical) in
-    let t_tx = ref 0.0 and t_q = ref 0.0 in
-    for _ = 1 to rounds do
-      let batch = Openivm_htap.Txgen.batch tx batch_rows in
-      t_tx := !t_tx +. time_unit (fun () ->
-          List.iter (fun sql -> ignore (Database.exec db sql)) batch);
-      t_q := !t_q +. time_unit (fun () ->
-          ignore (Openivm.Runner.query v "SELECT * FROM query_groups"))
-    done;
-    (!t_tx /. float_of_int rounds, !t_q /. float_of_int rounds)
-  in
-  (* (b) pure OLTP engine, recompute on read *)
-  let bench_pure_oltp () =
-    let oltp = Openivm_htap.Oltp.create () in
-    ignore (Database.exec_script (Openivm_htap.Oltp.db oltp) schema_sql);
-    let tx = Openivm_htap.Txgen.create ~seed:tx_seed () in
-    List.iter (fun sql -> ignore (Openivm_htap.Oltp.exec oltp sql))
-      (Openivm_htap.Txgen.seed_rows tx seed_rows);
-    let t_tx = ref 0.0 and t_q = ref 0.0 in
-    for _ = 1 to rounds do
-      let batch = Openivm_htap.Txgen.batch tx batch_rows in
-      t_tx := !t_tx +. time_unit (fun () ->
-          List.iter (fun sql -> ignore (Openivm_htap.Oltp.exec oltp sql)) batch);
-      t_q := !t_q +. time_unit (fun () ->
-          ignore (Openivm_htap.Oltp.query oltp analytical))
-    done;
-    (!t_tx /. float_of_int rounds, !t_q /. float_of_int rounds)
-  in
-  (* (c) cross-system with IVM; (d) cross-system shipping everything *)
-  let bench_cross ~with_ivm () =
-    let p =
-      Openivm_htap.Pipeline.create ~schema_sql
-        ~view_sql:("CREATE MATERIALIZED VIEW query_groups AS " ^ analytical)
-        ()
-    in
-    let tx = Openivm_htap.Txgen.create ~seed:tx_seed () in
-    List.iter (fun sql -> ignore (Openivm_htap.Pipeline.exec_oltp p sql))
-      (Openivm_htap.Txgen.seed_rows tx seed_rows);
-    ignore (Openivm_htap.Pipeline.sync p);
-    Openivm.Runner.force_refresh (Openivm_htap.Pipeline.view p);
-    let t_tx = ref 0.0 and t_q = ref 0.0 in
-    for _ = 1 to rounds do
-      let batch = Openivm_htap.Txgen.batch tx batch_rows in
-      t_tx := !t_tx +. time_unit (fun () ->
-          List.iter (fun sql -> ignore (Openivm_htap.Pipeline.exec_oltp p sql)) batch);
-      t_q := !t_q +. time_unit (fun () ->
-          if with_ivm then
-            ignore (Openivm_htap.Pipeline.query p "SELECT * FROM query_groups")
-          else ignore (Openivm_htap.Pipeline.query_without_ivm p))
-    done;
-    (!t_tx /. float_of_int rounds, !t_q /. float_of_int rounds)
-  in
-  let add name (t_tx, t_q) =
-    Report.add_row report
-      [ name; pp_duration t_tx; pp_duration t_q;
-        pp_duration (t_tx +. t_q) ]
-  in
-  add "pure OLAP engine + IVM" (bench_pure_olap ());
-  add "pure OLTP engine, recompute" (bench_pure_oltp ());
-  add "cross-system + IVM (paper)" (bench_cross ~with_ivm:true ());
-  add "cross-system, ship-all + recompute" (bench_cross ~with_ivm:false ());
-  Report.print report
-
-(* --- E4: strategy and refresh-granularity ablations --- *)
-
-let e4 () =
-  let base = match !scale with `Small -> 20_000 | `Medium -> 100_000 | `Full -> 200_000 in
-  let deltas = match !scale with
-    | `Small -> [ 100; 2_000 ]
-    | `Medium | `Full -> [ 100; 1_000; 10_000 ]
-  in
-  let report =
-    Report.create
-      ~title:
-        (Printf.sprintf "E4a: combine strategies (%d base rows)" base)
-      ~headers:
-        [ "delta rows"; "upsert_linear"; "union_regroup"; "outer_join_merge";
-          "rederive_affected"; "full_recompute"; "advisor picks" ]
-  in
-  List.iter
-    (fun delta ->
-       let time strategy =
-         let db, v = setup_groups_db ~rows:base ~domain:1000 ~strategy in
-         let gen = Datagen.create ~seed:13 () in
-         apply_and_refresh db v gen ~delta_rows:delta ~domain:1000
-       in
-       let advised =
-         let db, v =
-           setup_groups_db ~rows:base ~domain:1000
-             ~strategy:Openivm.Flags.Upsert_linear
-         in
-         ignore v;
-         let shape =
-           match
-             Openivm.Shape.analyze (Database.catalog db) ~view_name:"probe"
-               (Openivm_sql.Parser.parse_select
-                  "SELECT group_index, SUM(group_value) AS total_value,                    COUNT(*) AS n FROM groups GROUP BY group_index")
-           with
-           | Ok s -> s
-           | Error e -> failwith e
-         in
-         (Openivm.Advisor.advise (Database.catalog db) shape
-            ~expected_delta:delta)
-           .Openivm.Advisor.recommended
-       in
-       Report.add_row report
-         [ string_of_int delta;
-           pp_duration (time Openivm.Flags.Upsert_linear);
-           pp_duration (time Openivm.Flags.Union_regroup);
-           pp_duration (time Openivm.Flags.Outer_join_merge);
-           pp_duration (time Openivm.Flags.Rederive_affected);
-           pp_duration (time Openivm.Flags.Full_recompute);
-           Openivm.Flags.strategy_to_string advised ])
-    deltas;
-  Report.print report;
-  (* E4b: eager per-statement refresh vs lazy batch refresh *)
-  let n_stmts = match !scale with `Small -> 200 | _ -> 500 in
-  let report2 =
-    Report.create
-      ~title:
-        (Printf.sprintf
-           "E4b: refresh granularity over %d single-row inserts (%d base \
-            rows)"
-           n_stmts base)
-      ~headers:[ "mode"; "total time"; "per stmt" ]
-  in
-  let run_mode refresh =
-    let db = Database.create () in
-    ignore (Database.exec db Datagen.groups_ddl);
-    Datagen.populate_groups ~domain:1000 db (Datagen.create ()) ~rows:base;
-    let flags = { Openivm.Flags.default with refresh } in
-    let v = Openivm.Runner.install ~flags db groups_view_sql in
-    let t =
-      time_unit (fun () ->
-          for i = 0 to n_stmts - 1 do
-            ignore
-              (Database.exec db
-                 (Printf.sprintf "INSERT INTO groups VALUES ('g%05d', %d)"
-                    (i mod 1000) i))
-          done;
-          Openivm.Runner.refresh v)
-    in
-    ignore v;
-    t
-  in
-  let t_eager = run_mode Openivm.Flags.Eager in
-  let t_lazy = run_mode Openivm.Flags.Lazy in
-  Report.add_row report2
-    [ "eager (refresh per statement)"; pp_duration t_eager;
-      pp_duration (t_eager /. float_of_int n_stmts) ];
-  Report.add_row report2
-    [ "lazy (one refresh at read)"; pp_duration t_lazy;
-      pp_duration (t_lazy /. float_of_int n_stmts) ];
-  Report.print report2
-
-(* --- E4c: batching granularity vs staleness --- *)
-
-let e4c () =
-  let base = match !scale with `Small -> 20_000 | _ -> 50_000 in
-  let total_stmts = match !scale with `Small -> 400 | _ -> 1_000 in
-  let report =
-    Report.create
-      ~title:
-        (Printf.sprintf
-           "E4c: refresh batching over %d inserts (%d base rows) — cost vs             recency"
-           total_stmts base)
-      ~headers:
-        [ "refresh every"; "total time"; "per stmt"; "avg staleness (rows)" ]
-  in
-  List.iter
-    (fun every ->
-       let db = Database.create () in
-       ignore (Database.exec db Datagen.groups_ddl);
-       Datagen.populate_groups ~domain:1000 db (Datagen.create ()) ~rows:base;
-       let v = Openivm.Runner.install db groups_view_sql in
-       let staleness_samples = ref 0 in
-       let staleness_total = ref 0 in
-       let t =
-         time_unit (fun () ->
-             for i = 0 to total_stmts - 1 do
-               ignore
-                 (Database.exec db
-                    (Printf.sprintf "INSERT INTO groups VALUES ('g%05d', %d)"
-                       (i mod 1000) i));
-               incr staleness_samples;
-               staleness_total := !staleness_total + Openivm.Runner.pending_deltas v;
-               if (i + 1) mod every = 0 then Openivm.Runner.force_refresh v
-             done;
-             Openivm.Runner.refresh v)
-       in
-       Report.add_row report
-         [ string_of_int every; pp_duration t;
-           pp_duration (t /. float_of_int total_stmts);
-           Printf.sprintf "%.1f"
-             (float_of_int !staleness_total /. float_of_int !staleness_samples) ])
-    [ 1; 10; 100; 1000 ];
-  Report.print report
-
-(* --- E5: compiler latency --- *)
-
-let e5_views =
-  [ ("projection", "CREATE MATERIALIZED VIEW v AS SELECT group_index, group_value FROM groups");
-    ("filter", "CREATE MATERIALIZED VIEW v AS SELECT group_index FROM groups WHERE group_value > 10");
-    ("sum/count group", groups_view_sql);
-    ("min/max group", "CREATE MATERIALIZED VIEW v AS SELECT group_index, MIN(group_value) AS lo, MAX(group_value) AS hi FROM groups GROUP BY group_index");
-    ("global aggregate", "CREATE MATERIALIZED VIEW v AS SELECT SUM(group_value) AS s FROM groups");
-    ("join aggregate",
-     "CREATE MATERIALIZED VIEW v AS SELECT customers.region, \
-      SUM(sales.amount) AS total FROM sales JOIN customers ON sales.cust = \
-      customers.cust GROUP BY customers.region") ]
-
-let e5_catalog () =
-  let db = Database.create () in
-  ignore (Database.exec db Datagen.groups_ddl);
-  ignore (Database.exec db Datagen.sales_ddl);
-  ignore (Database.exec db Datagen.customers_ddl);
-  Database.catalog db
-
-let e5 () =
-  let catalog = e5_catalog () in
-  let report =
-    Report.create ~title:"E5: SQL-to-SQL compilation latency per view class"
-      ~headers:[ "view class"; "compile time"; "emitted statements" ]
-  in
-  List.iter
-    (fun (name, sql) ->
-       let reps = 200 in
-       let t =
-         time_unit (fun () ->
-             for _ = 1 to reps do
-               ignore (Openivm.Compiler.compile catalog sql)
-             done)
-       in
-       let c = Openivm.Compiler.compile catalog sql in
-       let stmt_count =
-         List.length c.Openivm.Compiler.ddl
-         + List.length c.Openivm.Compiler.metadata_dml
-         + 1
-         + List.length (Openivm.Propagate.all_statements c.Openivm.Compiler.script)
-       in
-       Report.add_row report
-         [ name; pp_duration (t /. float_of_int reps);
-           string_of_int stmt_count ])
-    e5_views;
-  Report.print report
-
-(* --- the refresh benchmark: strategy × view-shape medians → JSON ---
-
-   Regenerates the paper's Figure-4 comparison on the Minidb substrate:
-   median propagation latency per (view shape × combine strategy), the
-   full_recompute column doubling as the non-IVM baseline. Every
-   benchmarked view is also checked against a full recompute of its
-   defining query after the timed reps; any divergence prints the failing
-   view and fails the whole run — a benchmark that measured a wrong
-   answer is not a benchmark. Results land in --out (BENCH_refresh.json)
-   for EXPERIMENTS.md to reference. *)
-
-let refresh_out = ref "BENCH_refresh.json"
-let refresh_reps = ref 5
-let refresh_only = ref false
+(** One discarded warm-up run of [f], then [--reps] measured runs. The
+    warm-up pays one-off costs (index builds, stage-table DDL, allocator
+    growth) that would otherwise inflate max_seconds. *)
+let runs f =
+  ignore (f ());
+  List.init (max 1 !reps) (fun _ -> f ())
 
 let median xs =
   let a = Array.of_list xs in
@@ -572,43 +72,81 @@ let median xs =
   else if n mod 2 = 1 then a.(n / 2)
   else (a.((n / 2) - 1) +. a.(n / 2)) /. 2.0
 
+let mean xs = List.fold_left ( +. ) 0.0 xs /. float_of_int (List.length xs)
+let num = float_of_int
+let exec_all db stmts = List.iter (fun sql -> ignore (Database.exec db sql)) stmts
+
+let sorted_rows (r : Database.query_result) =
+  List.sort String.compare (List.map Row.to_string r.Database.rows)
+
+type refresh_result = {
+  r_shape : string;
+  r_strategy : string;
+  r_median : float;
+  r_min : float;
+  r_max : float;
+  r_converged : bool;  (** the row's check passed *)
+  r_extra : (string * float) list;  (** more numbers for the row *)
+}
+
+let result ~shape ~strategy ~extra converged times =
+  { r_shape = shape; r_strategy = strategy; r_median = median times;
+    r_min = List.fold_left min infinity times;
+    r_max = List.fold_left max neg_infinity times;
+    r_converged = converged; r_extra = extra }
+
+let strategies =
+  [ Openivm.Flags.Upsert_linear; Openivm.Flags.Union_regroup;
+    Openivm.Flags.Outer_join_merge; Openivm.Flags.Rederive_affected;
+    Openivm.Flags.Full_recompute ]
+
+(* --- the refresh shapes: strategy × view-shape medians ---
+
+   Regenerates the paper's Figure-4 comparison on the Minidb substrate:
+   median propagation latency per (view shape × combine strategy), the
+   full_recompute column doubling as the non-IVM baseline. The same loop
+   runs the [scaling] family's shapes at other sizes. *)
+
 type refresh_shape = {
   shape_name : string;
   shape_upstreams : string list;
       (* maintained views installed in order before [shape_view]; the
          benchmarked view reads the last one, forming a cascade *)
   shape_view : string;
-  shape_setup : Database.t -> Datagen.t -> unit;
-  shape_delta : Database.t -> Datagen.t -> unit;
+  shape_setup : Database.t -> unit -> unit;
+      (* creates and fills the base tables; returns the function that
+         applies one delta *)
   shape_flags : Openivm.Flags.t -> Openivm.Flags.t;
       (* per-shape tweak of the benchmarked view's flags *)
   shape_upstream_flags : Openivm.Flags.t -> Openivm.Flags.t;
+  shape_sizes : (string * float) list;
 }
 
 let refresh_sizes () =
-  match !scale with
-  | `Small -> (2_000, 100)
-  | `Medium -> (20_000, 500)
-  | `Full -> (100_000, 2_000)
+  by_scale ~small:(2_000, 100) ~medium:(20_000, 500) ~full:(100_000, 2_000)
 
-let refresh_shapes () =
-  let base, delta = refresh_sizes () in
+let sum_count_query =
+  "SELECT group_index, SUM(group_value) AS total_value, COUNT(*) AS n FROM \
+   groups GROUP BY group_index"
+
+let groups_shape ~base ~delta name query =
   let domain = max 100 (base / 20) in
-  let groups_setup db gen =
-    ignore (Database.exec db Datagen.groups_ddl);
-    Datagen.populate_groups ~domain db gen ~rows:base
-  in
-  let groups_delta db gen =
-    Datagen.apply_groups_delta db
-      (Datagen.groups_delta_rows ~domain gen ~rows:delta)
-  in
-  let id (f : Openivm.Flags.t) = f in
-  let groups name view =
-    { shape_name = name; shape_upstreams = [];
-      shape_view = "CREATE MATERIALIZED VIEW bench_v AS " ^ view;
-      shape_setup = groups_setup; shape_delta = groups_delta;
-      shape_flags = id; shape_upstream_flags = id }
-  in
+  { shape_name = name; shape_upstreams = [];
+    shape_view = "CREATE MATERIALIZED VIEW bench_v AS " ^ query;
+    shape_setup =
+      (fun db ->
+         let gen = Datagen.create ~seed:99 () in
+         ignore (Database.exec db Datagen.groups_ddl);
+         Datagen.populate_groups ~domain db gen ~rows:base;
+         fun () ->
+           Datagen.apply_groups_delta db
+             (Datagen.groups_delta_rows ~domain gen ~rows:delta));
+    shape_flags = Fun.id; shape_upstream_flags = Fun.id;
+    shape_sizes = [ ("base_rows", num base); ("delta_rows", num delta) ] }
+
+let refresh_shapes ~base ~delta =
+  let domain = max 100 (base / 20) in
+  let groups = groups_shape ~base ~delta in
   (* cascaded shapes: the benchmarked view reads a maintained view, so a
      timed refresh pulls the upstream first and then folds the captured
      delta-of-the-view (the paper's views-on-views composition) *)
@@ -621,78 +159,74 @@ let refresh_shapes () =
      entirely +/- pairs — exactly what the Z-set consolidation pass
      cancels. Benchmarked twice, with consolidation on and off, so
      BENCH_refresh.json carries the measured win. *)
-  let churn_delta db _gen =
-    for _ = 1 to 4 do
-      let values =
-        String.concat ", "
-          (List.init delta (fun i ->
-               Printf.sprintf "('%s', 1000777)" (Datagen.group_key (i mod domain))))
-      in
-      ignore (Database.exec db ("INSERT INTO groups VALUES " ^ values));
-      ignore (Database.exec db "DELETE FROM groups WHERE group_value = 1000777")
-    done
-  in
   let churn name flags_tweak =
-    { shape_name = name;
+    let sh =
+      groups name
+        "SELECT group_index, SUM(group_value) AS total_value, COUNT(*) AS n \
+         FROM bench_u1 GROUP BY group_index"
+    in
+    { sh with
       shape_upstreams =
         [ "CREATE MATERIALIZED VIEW bench_u1 AS \
            SELECT group_index, group_value FROM groups" ];
-      shape_view =
-        "CREATE MATERIALIZED VIEW bench_v AS SELECT group_index, \
-         SUM(group_value) AS total_value, COUNT(*) AS n FROM bench_u1 \
-         GROUP BY group_index";
-      shape_setup = groups_setup; shape_delta = churn_delta;
+      shape_setup =
+        (fun db ->
+           let (_ : unit -> unit) = sh.shape_setup db in
+           fun () ->
+             for _ = 1 to 4 do
+               let values =
+                 String.concat ", "
+                   (List.init delta (fun i ->
+                        Printf.sprintf "('%s', 1000777)"
+                          (Datagen.group_key (i mod domain))))
+               in
+               exec_all db
+                 [ "INSERT INTO groups VALUES " ^ values;
+                   "DELETE FROM groups WHERE group_value = 1000777" ]
+             done);
       shape_flags = flags_tweak;
       shape_upstream_flags =
         (fun f -> { f with Openivm.Flags.refresh = Openivm.Flags.Eager }) }
   in
   let customers = max 50 (base / 40) in
-  let join_setup db gen =
-    ignore (Database.exec db Datagen.sales_ddl);
-    ignore (Database.exec db Datagen.customers_ddl);
+  let join_setup db =
+    let gen = Datagen.create ~seed:99 () in
+    exec_all db [ Datagen.sales_ddl; Datagen.customers_ddl ];
     Datagen.populate_customers db gen ~customers;
-    Datagen.populate_sales ~customers db gen ~rows:base
-  in
-  let join_delta db gen =
-    let values =
-      String.concat ", "
-        (List.init delta (fun i ->
-             Printf.sprintf "(%d, %d, 'item%03d', %d)"
-               (1_000_000 + i)
-               (Datagen.uniform gen customers)
-               (Datagen.uniform gen 500)
-               (Datagen.uniform gen 10_000)))
-    in
-    ignore (Database.exec db ("INSERT INTO sales VALUES " ^ values));
-    ignore
-      (Database.exec db
-         (Printf.sprintf "DELETE FROM sales WHERE cust = %d AND amount %% 97 = %d"
-            (Datagen.uniform gen customers) (Datagen.uniform gen 97)))
+    Datagen.populate_sales ~customers db gen ~rows:base;
+    fun () ->
+      let values =
+        String.concat ", "
+          (List.init delta (fun i ->
+               Printf.sprintf "(%d, %d, 'item%03d', %d)"
+                 (1_000_000 + i)
+                 (Datagen.uniform gen customers)
+                 (Datagen.uniform gen 500)
+                 (Datagen.uniform gen 10_000)))
+      in
+      ignore (Database.exec db ("INSERT INTO sales VALUES " ^ values));
+      ignore
+        (Database.exec db
+           (Printf.sprintf "DELETE FROM sales WHERE cust = %d AND amount %% 97 = %d"
+              (Datagen.uniform gen customers) (Datagen.uniform gen 97)))
   in
   [ groups "projection" "SELECT group_index, group_value FROM groups";
     groups "filter"
       "SELECT group_index, group_value FROM groups WHERE group_value > 500";
-    groups "sum_count_group"
-      "SELECT group_index, SUM(group_value) AS total_value, COUNT(*) AS n \
-       FROM groups GROUP BY group_index";
+    groups "sum_count_group" sum_count_query;
     groups "min_max_group"
       "SELECT group_index, MIN(group_value) AS lo, MAX(group_value) AS hi \
        FROM groups GROUP BY group_index";
     groups "global_agg"
       "SELECT SUM(group_value) AS total, COUNT(*) AS n FROM groups";
-    { shape_name = "join_agg";
-      shape_upstreams = [];
-      shape_view =
-        "CREATE MATERIALIZED VIEW bench_v AS SELECT customers.region, \
-         SUM(sales.amount) AS total FROM sales JOIN customers ON sales.cust \
-         = customers.cust GROUP BY customers.region";
-      shape_setup = join_setup; shape_delta = join_delta;
-      shape_flags = id; shape_upstream_flags = id };
+    { (groups "join_agg"
+         "SELECT customers.region, SUM(sales.amount) AS total FROM sales \
+          JOIN customers ON sales.cust = customers.cust GROUP BY \
+          customers.region")
+      with shape_setup = join_setup };
     cascade "cascade_2level"
       ~upstreams:
-        [ "CREATE MATERIALIZED VIEW bench_u1 AS SELECT group_index, \
-           SUM(group_value) AS total_value, COUNT(*) AS n FROM groups \
-           GROUP BY group_index" ]
+        [ "CREATE MATERIALIZED VIEW bench_u1 AS " ^ sum_count_query ]
       "SELECT SUM(total_value) AS grand_total, COUNT(*) AS n_groups \
        FROM bench_u1";
     cascade "cascade_3level"
@@ -704,53 +238,107 @@ let refresh_shapes () =
            GROUP BY group_index" ]
       "SELECT SUM(total_value) AS grand_total, COUNT(*) AS n_groups \
        FROM bench_u2";
-    churn "cascade_dup_churn" id;
+    churn "cascade_dup_churn" Fun.id;
     churn "cascade_dup_churn_noconsol"
       (fun f -> { f with Openivm.Flags.consolidate_deltas = false }) ]
 
-let refresh_strategies =
-  [ Openivm.Flags.Upsert_linear; Openivm.Flags.Union_regroup;
-    Openivm.Flags.Outer_join_merge; Openivm.Flags.Rederive_affected;
-    Openivm.Flags.Full_recompute ]
+(** Install [sh]'s view stack under [strategy] and time one refresh per
+    run, each after a fresh delta; the row's check is that every view of
+    the stack equals a full recompute afterwards. [slot] makes the
+    strategy slot from the strategy's name. *)
+let measure_shape ~family ~slot sh strategy =
+  let db = Database.create () in
+  let apply_delta = sh.shape_setup db in
+  let flags = { Openivm.Flags.default with strategy } in
+  let upstreams =
+    List.rev
+      (List.fold_left
+         (fun acc sql ->
+            Openivm.Runner.install ~flags:(sh.shape_upstream_flags flags)
+              ~registry:(List.rev acc) db sql
+            :: acc)
+         [] sh.shape_upstreams)
+  in
+  let v =
+    Openivm.Runner.install ~flags:(sh.shape_flags flags) ~registry:upstreams db
+      sh.shape_view
+  in
+  let times =
+    runs (fun () ->
+        apply_delta ();
+        time_unit (fun () -> Openivm.Runner.force_refresh v))
+  in
+  result ~shape:family
+    ~strategy:(slot (Openivm.Flags.strategy_to_string strategy))
+    ~extra:sh.shape_sizes
+    (List.for_all
+       (fun u -> Openivm.Runner.visible_rows u = Openivm.Runner.recompute_rows u)
+       (upstreams @ [ v ]))
+    times
 
-type refresh_result = {
-  r_shape : string;
-  r_strategy : string;
-  r_median : float;
-  r_min : float;
-  r_max : float;
-  r_converged : bool;
-  r_extra : (string * float) list;  (** more numbers for the row *)
-}
-
-let refresh_json results =
+let shape_rows () =
   let base, delta = refresh_sizes () in
-  let b = Buffer.create 4096 in
-  Buffer.add_string b "{\n";
-  Buffer.add_string b "  \"benchmark\": \"refresh\",\n";
-  Printf.bprintf b "  \"scale\": \"%s\",\n"
-    (match !scale with `Small -> "small" | `Medium -> "medium" | `Full -> "full");
-  Printf.bprintf b "  \"reps\": %d,\n" (max 1 !refresh_reps);
-  Buffer.add_string b "  \"warmup_reps\": 1,\n";
-  Printf.bprintf b "  \"base_rows\": %d,\n" base;
-  Printf.bprintf b "  \"delta_rows\": %d,\n" delta;
-  Buffer.add_string b "  \"results\": [\n";
-  List.iteri
-    (fun i r ->
-       Printf.bprintf b
-         "    {\"shape\": %S, \"strategy\": %S, \"median_seconds\": \
-          %.9f, \"min_seconds\": %.9f, \"max_seconds\": %.9f, \
-          \"converged\": %b%s}%s\n"
-         r.r_shape r.r_strategy r.r_median r.r_min r.r_max
-         r.r_converged
-         (String.concat ""
-            (List.map
-               (fun (k, x) -> Printf.sprintf ", \"%s\": %.2f" k x)
-               r.r_extra))
-         (if i = List.length results - 1 then "" else ","))
-    results;
-  Buffer.add_string b "  ]\n}\n";
-  Buffer.contents b
+  List.concat_map
+    (fun sh -> List.map (measure_shape ~family:sh.shape_name ~slot:Fun.id sh) strategies)
+    (refresh_shapes ~base ~delta)
+
+(* --- scaling (E1, E4a): refresh cost as a function of |Δ| and |T| ---
+
+   The SUM/COUNT group view under all five strategies over a base × delta
+   grid, and the TPC-H-lite revenue view (a 3-way join: inclusion–
+   exclusion fill, ART index nested loops) under upsert_linear against
+   full_recompute over an orders × delta-orders grid; full_recompute is
+   the non-IVM baseline. The groups table gets an index on its group key
+   so that each delta's deletes probe instead of scanning the base: at
+   200k rows a 20k-row delta would otherwise cost minutes to apply. *)
+
+let tpch_shape ~orders ~delta =
+  { shape_name = "tpch_revenue"; shape_upstreams = [];
+    shape_view = Tpch_lite.revenue_view;
+    shape_setup =
+      (fun db ->
+         exec_all db Tpch_lite.all_ddl;
+         let gen = Tpch_lite.create ~customers:(max 50 (orders / 10)) () in
+         Tpch_lite.populate db gen ~orders;
+         fun () ->
+           for _ = 1 to delta do
+             exec_all db (Tpch_lite.order_statements gen)
+           done;
+           exec_all db (Tpch_lite.cancel_statements gen));
+    shape_flags = Fun.id; shape_upstream_flags = Fun.id;
+    shape_sizes = [ ("orders", num orders); ("delta_orders", num delta) ] }
+
+let scaling_rows () =
+  let bases, deltas =
+    by_scale
+      ~small:([ 2_000; 20_000 ], [ 10; 100; 2_000 ])
+      ~medium:([ 20_000; 200_000 ], [ 10; 1_000; 20_000 ])
+      ~full:([ 20_000; 200_000; 1_000_000 ], [ 10; 1_000; 20_000; 100_000 ])
+  and orders, delta_orders =
+    by_scale
+      ~small:([ 500 ], [ 10; 50 ])
+      ~medium:([ 1_000; 4_000 ], [ 10; 200 ])
+      ~full:([ 1_000; 4_000; 16_000 ], [ 10; 200; 1_000 ])
+  in
+  let rows sh strategies sizes =
+    let slot name =
+      String.concat "_" (sh.shape_name :: name :: List.map string_of_int sizes)
+    in
+    List.map (measure_shape ~family:"scaling" ~slot sh) strategies
+  in
+  let grid xs ys f = List.concat_map (fun x -> List.concat_map (f x) ys) xs in
+  grid bases deltas (fun base delta ->
+      let sh = groups_shape ~base ~delta "sum_count_group" sum_count_query in
+      let indexed db =
+        let apply_delta = sh.shape_setup db in
+        ignore (Database.exec db "CREATE INDEX groups_key ON groups(group_index)");
+        apply_delta
+      in
+      rows { sh with shape_setup = indexed } strategies [ base; delta ])
+  @ grid orders delta_orders (fun orders delta ->
+      rows (tpch_shape ~orders ~delta)
+        [ Openivm.Flags.Upsert_linear; Openivm.Flags.Full_recompute ]
+        [ orders; delta ])
 
 (* --- the recovery benchmark: cold start vs durable-store recovery ---
 
@@ -762,10 +350,9 @@ let refresh_json results =
    [checkpoint_load] recovers after the tail has been folded away. Each
    path is divergence-gated like every other benchmark row. *)
 
-let recovery_results () : refresh_result list =
+let recovery_rows () =
   let module Store = Openivm_store.Store in
   let base, delta = refresh_sizes () in
-  let reps = max 1 !refresh_reps in
   let domain = max 100 (base / 20) in
   let rec rm_rf path =
     if Sys.file_exists path then
@@ -781,11 +368,7 @@ let recovery_results () : refresh_result list =
     Sys.mkdir dir 0o755;
     Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir)
   in
-  let view_sql =
-    "CREATE MATERIALIZED VIEW bench_v AS SELECT group_index, \
-     SUM(group_value) AS total_value, COUNT(*) AS n FROM groups GROUP BY \
-     group_index"
-  in
+  let view_sql = "CREATE MATERIALIZED VIEW bench_v AS " ^ sum_count_query in
   let row i =
     Printf.sprintf "('%s', %d)" (Datagen.group_key (i mod domain))
       ((i * 37) mod 1_000)
@@ -795,6 +378,10 @@ let recovery_results () : refresh_result list =
     ^ String.concat ", " (List.init n (fun i -> row (lo + i)))
   in
   let tail_batches = 5 in
+  let extra =
+    [ ("base_rows", num base); ("delta_rows", num delta);
+      ("tail_batches", num tail_batches) ]
+  in
   with_temp_dir (fun dir ->
       (* seed: base rows + installed view in a checkpoint, deltas in the tail *)
       let store = Store.open_ ~dir () in
@@ -812,13 +399,13 @@ let recovery_results () : refresh_result list =
             List.iter Openivm.Runner.refresh (Store.views s);
             Store.close s)
       in
-      let replay_times = List.init reps (fun _ -> time_open ()) in
+      let replay_times = runs time_open in
       let s = Store.open_ ~dir () in
       let replay_converged = Store.verify s in
       (* fold the tail away so the next measurements load checkpoint only *)
       ignore (Store.checkpoint s);
       Store.close s;
-      let checkpoint_times = List.init reps (fun _ -> time_open ()) in
+      let checkpoint_times = runs time_open in
       let s = Store.open_ ~dir () in
       let checkpoint_converged =
         Store.verify s && (Store.last_recovery s).Store.replayed = 0
@@ -829,27 +416,22 @@ let recovery_results () : refresh_result list =
       let total = base + (tail_batches * delta) in
       let cold_converged = ref true in
       let cold_times =
-        List.init reps (fun _ ->
+        runs (fun () ->
             time_unit (fun () ->
                 let db = Database.create () in
-                ignore (Database.exec db Datagen.groups_ddl);
-                ignore (Database.exec db (values 0 total));
+                exec_all db [ Datagen.groups_ddl; values 0 total ];
                 let v = Openivm.Runner.install db view_sql in
                 cold_converged :=
                   !cold_converged
                   && Openivm.Runner.visible_rows v
                      = Openivm.Runner.recompute_rows v))
       in
-      let mk strategy times converged =
-        { r_shape = "recovery"; r_strategy = strategy;
-          r_median = median times;
-          r_min = List.fold_left min infinity times;
-          r_max = List.fold_left max neg_infinity times;
-          r_converged = converged; r_extra = [] }
+      let row strategy times converged =
+        result ~shape:"recovery" ~strategy ~extra converged times
       in
-      [ mk "cold_start" cold_times !cold_converged;
-        mk "wal_replay" replay_times replay_converged;
-        mk "checkpoint_load" checkpoint_times checkpoint_converged ])
+      [ row "cold_start" cold_times !cold_converged;
+        row "wal_replay" replay_times replay_converged;
+        row "checkpoint_load" checkpoint_times checkpoint_converged ])
 
 (* --- the multi-session churn benchmark: serving-layer scaling ---
 
@@ -857,21 +439,34 @@ let recovery_results () : refresh_result list =
    A fixed budget of DML units is pushed through the serving layer's
    single-writer scheduler by 1, 4 and 16 concurrent session threads;
    the measured wall clock covers submission through drain (every view
-   refreshed). One session replays the units back-to-back — each await
-   runs its own tick — while 16 sessions pile units into shared ticks.
-   Under [Lazy] the view folds every unit in one refresh at drain, so
-   the time is thread start and lock hand-off; under [Eager]
-   ([multi_session_churn_eager]) every tick ends with a refresh, so the
-   time follows how many ticks the units shared. Each row carries the
-   mean ticks per rep and units per tick, from [Scheduler.stats].
-   Divergence-gated like every other row: after each rep, every view
-   must agree with a full recompute. *)
+   refreshed). With no background ticker each awaiting session runs the
+   tick itself, so units rarely share one. Under [Lazy] the view folds
+   every unit in one refresh at drain; under [Eager]
+   ([multi_session_churn_eager]) every tick ends with a refresh. Each
+   row carries the mean ticks per rep and units per tick, from
+   [Scheduler.stats], and splits the mean wall time per rep ([wall_ms])
+   into the ticks the sessions ran ([tick_ms], the
+   [openivm_server_tick_seconds] histogram's sum up to the drain), the
+   [Scheduler.drain] call ([drain_ms]) and the rest ([other_ms]: thread
+   start, session open and close, parsing, lock hand-off). After each
+   rep every view must agree with a full recompute. *)
 
-let multi_session_results refresh : refresh_result list =
+type churn_run = {
+  wall : float;
+  tick : float;
+  drain : float;
+  ticks : int;
+  units : int;
+  converged : bool;
+}
+
+let multi_session_rows refresh =
   let module Scheduler = Openivm_server.Scheduler in
   let module Session = Openivm_server.Session in
+  let tick_seconds =
+    Openivm_obs.Metrics.histogram "openivm_server_tick_seconds"
+  in
   let base, _ = refresh_sizes () in
-  let reps = max 1 !refresh_reps in
   let domain = max 100 (base / 20) in
   let total_units = 160 in
   let unit_sql u =
@@ -881,11 +476,6 @@ let multi_session_results refresh : refresh_result list =
       (Datagen.group_key (u * 7 mod domain))
       (u * 17 mod 1_000)
   in
-  let view_sql =
-    "CREATE MATERIALIZED VIEW bench_v AS SELECT group_index, \
-     SUM(group_value) AS total_value, COUNT(*) AS n FROM groups GROUP BY \
-     group_index"
-  in
   let run n_sessions =
     let db = Database.create () in
     ignore (Database.exec db Datagen.groups_ddl);
@@ -894,14 +484,16 @@ let multi_session_results refresh : refresh_result list =
     let ext = Openivm.Runner.load ~flags db in
     let sched = Scheduler.create ext in
     let setup = Session.create sched ~tenant:"bench" in
-    (match Session.exec setup view_sql with
+    (match Session.exec setup ("CREATE MATERIALIZED VIEW bench_v AS " ^ sum_count_query) with
      | Session.Msg _ -> ()
      | _ -> failwith "multi_session_churn: view install failed");
     Session.close setup;
     let ok = ref true in
     let per = total_units / n_sessions in
     let s0 = Scheduler.stats sched in
-    let t =
+    let tick0 = Openivm_obs.Metrics.hist_sum tick_seconds in
+    let tick = ref 0.0 and drain = ref 0.0 in
+    let wall =
       time_unit (fun () ->
           let threads =
             List.init n_sessions (fun s ->
@@ -920,7 +512,8 @@ let multi_session_results refresh : refresh_result list =
                   s)
           in
           List.iter Thread.join threads;
-          Scheduler.drain sched)
+          tick := Openivm_obs.Metrics.hist_sum tick_seconds -. tick0;
+          drain := time_unit (fun () -> Scheduler.drain sched))
     in
     let s1 = Scheduler.stats sched in
     let converged =
@@ -930,8 +523,9 @@ let multi_session_results refresh : refresh_result list =
               Openivm.Runner.visible_rows v = Openivm.Runner.recompute_rows v)
            ext.Openivm.Runner.ext_views
     in
-    (t, converged, s1.Scheduler.ticks - s0.Scheduler.ticks,
-     s1.Scheduler.units_applied - s0.Scheduler.units_applied)
+    { wall; tick = !tick; drain = !drain; converged;
+      ticks = s1.Scheduler.ticks - s0.Scheduler.ticks;
+      units = s1.Scheduler.units_applied - s0.Scheduler.units_applied }
   in
   let shape =
     match refresh with
@@ -940,21 +534,20 @@ let multi_session_results refresh : refresh_result list =
   in
   List.map
     (fun n ->
-       let runs = List.init reps (fun _ -> run n) in
-       let times = List.map (fun (t, _, _, _) -> t) runs in
-       let sum f = List.fold_left (fun acc r -> acc + f r) 0 runs in
-       let ticks = sum (fun (_, _, k, _) -> k)
-       and units = sum (fun (_, _, _, u) -> u) in
-       { r_shape = shape;
-         r_strategy = Printf.sprintf "sessions_%d" n;
-         r_median = median times;
-         r_min = List.fold_left min infinity times;
-         r_max = List.fold_left max neg_infinity times;
-         r_converged = List.for_all (fun (_, c, _, _) -> c) runs;
-         r_extra =
-           [ ("ticks", float_of_int ticks /. float_of_int reps);
-             ("units_per_tick",
-              float_of_int units /. float_of_int (max 1 ticks)) ] })
+       let measured = runs (fun () -> run n) in
+       let sum f = List.fold_left (fun acc r -> acc + f r) 0 measured in
+       let ms f = 1e3 *. mean (List.map f measured) in
+       let ticks = sum (fun r -> r.ticks) and wall = ms (fun r -> r.wall)
+       and tick = ms (fun r -> r.tick) and drain = ms (fun r -> r.drain) in
+       result ~shape ~strategy:(Printf.sprintf "sessions_%d" n)
+         ~extra:
+           [ ("base_rows", num base); ("units", num total_units);
+             ("ticks", num ticks /. num (List.length measured));
+             ("units_per_tick", num (sum (fun r -> r.units)) /. num (max 1 ticks));
+             ("wall_ms", wall); ("tick_ms", tick); ("drain_ms", drain);
+             ("other_ms", wall -. tick -. drain) ]
+         (List.for_all (fun r -> r.converged) measured)
+         (List.map (fun r -> r.wall) measured))
     [ 1; 4; 16 ]
 
 (* --- the bulk UPDATE benchmark: one statement over every row ---
@@ -968,15 +561,13 @@ let multi_session_results refresh : refresh_result list =
    PK and secondary lookup equals a filtered scan, and [set_v] leaves the
    slot count where it was. *)
 
-let bulk_update_results () : refresh_result list =
+let bulk_update_rows () =
   let base, _ = refresh_sizes () in
-  let reps = max 1 !refresh_reps in
   let setup n =
     let db = Database.create () in
-    ignore
-      (Database.exec db
-         "CREATE TABLE s(id INTEGER PRIMARY KEY, g INTEGER, v INTEGER)");
-    ignore (Database.exec db "CREATE INDEX s_g ON s(g)");
+    exec_all db
+      [ "CREATE TABLE s(id INTEGER PRIMARY KEY, g INTEGER, v INTEGER)";
+        "CREATE INDEX s_g ON s(g)" ];
     let tbl = Catalog.find_table (Database.catalog db) "s" in
     Table.insert_many tbl
       (List.init n (fun i -> [| Value.Int i; Value.Int (i mod 2); Value.Int i |]));
@@ -1008,25 +599,21 @@ let bulk_update_results () : refresh_result list =
     let slots () = Vec.length tbl.Table.slots in
     let before = slots () in
     let peak = ref 0 and agree = ref true in
-    let timed () =
-      let t = time_unit statement in
-      peak := max !peak (slots ());
-      agree := !agree && lookups_agree tbl;
-      t
+    let times =
+      runs (fun () ->
+          let t = time_unit statement in
+          peak := max !peak (slots ());
+          agree := !agree && lookups_agree tbl;
+          t)
     in
-    (* one discarded warmup rep, as in the refresh rows *)
-    ignore (timed ());
-    let times = List.init reps (fun _ -> timed ()) in
     let kept = name <> "set_v" || !peak = before in
-    { r_shape = "bulk_update";
-      r_strategy =
-        Printf.sprintf "%s%s_%d" name (if rolled_back then "_rollback" else "") n;
-      r_median = median times;
-      r_min = List.fold_left min infinity times;
-      r_max = List.fold_left max neg_infinity times;
-      r_converged = kept && !agree;
-      r_extra =
-        [ ("slots_before", float_of_int before); ("slots_after", float_of_int !peak) ] }
+    result ~shape:"bulk_update"
+      ~strategy:
+        (Printf.sprintf "%s%s_%d" name (if rolled_back then "_rollback" else "") n)
+      ~extra:
+        [ ("rows", num n); ("slots_before", num before);
+          ("slots_after", num !peak) ]
+      (kept && !agree) times
   in
   List.concat_map
     (fun n ->
@@ -1035,146 +622,330 @@ let bulk_update_results () : refresh_result list =
          [ ("set_v", "UPDATE s SET v = v + 1"); ("flip_g", "UPDATE s SET g = 1 - g") ])
     [ base; 10 * base ]
 
-let refresh_bench () =
-  let base, delta = refresh_sizes () in
-  let reps = max 1 !refresh_reps in
-  let results = ref [] in
-  let diverged = ref [] in
-  let table =
-    Report.create
-      ~title:
-        (Printf.sprintf
-           "Refresh latency: median of %d propagation(s), %d base rows, %d \
-            delta rows per rep"
-           reps base delta)
-      ~headers:
-        ("view shape"
-         :: List.map Openivm.Flags.strategy_to_string refresh_strategies)
-  in
-  List.iter
-    (fun sh ->
-       let cells =
-         List.map
-           (fun strategy ->
-              let db = Database.create () in
-              let gen = Datagen.create ~seed:99 () in
-              sh.shape_setup db gen;
-              let flags = { Openivm.Flags.default with strategy } in
-              let install_stack () =
-                let upstreams =
-                  List.fold_left
-                    (fun acc sql ->
-                       Openivm.Runner.install
-                         ~flags:(sh.shape_upstream_flags flags)
-                         ~registry:(List.rev acc) db sql
-                       :: acc)
-                    [] sh.shape_upstreams
-                in
-                let registry = List.rev upstreams in
-                let v =
-                  Openivm.Runner.install ~flags:(sh.shape_flags flags)
-                    ~registry db sh.shape_view
-                in
-                (registry, v)
-              in
-              match install_stack () with
-              | exception Openivm.Compiler.Unsupported_view _ -> "n/a"
-              | (upstreams, v) ->
-                (* one discarded warmup rep: the first propagation pays
-                   one-off costs (index builds, stage-table DDL, allocator
-                   growth) that would otherwise inflate max_seconds far
-                   beyond steady state *)
-                sh.shape_delta db gen;
-                Openivm.Runner.force_refresh v;
-                let times =
-                  List.init reps (fun _ ->
-                      sh.shape_delta db gen;
-                      time_unit (fun () -> Openivm.Runner.force_refresh v))
-                in
-                let converged =
-                  List.for_all
-                    (fun u ->
-                       Openivm.Runner.visible_rows u
-                       = Openivm.Runner.recompute_rows u)
-                    (upstreams @ [ v ])
-                in
-                let name = Openivm.Flags.strategy_to_string strategy in
-                if not converged then
-                  diverged := (sh.shape_name, name) :: !diverged;
-                results :=
-                  { r_shape = sh.shape_name; r_strategy = name;
-                    r_median = median times;
-                    r_min = List.fold_left min infinity times;
-                    r_max = List.fold_left max neg_infinity times;
-                    r_converged = converged; r_extra = [] }
-                  :: !results;
-                pp_duration (median times))
-           refresh_strategies
-       in
-       Report.add_row table (sh.shape_name :: cells))
-    (refresh_shapes ());
-  Report.print table;
-  (* the recovery rows ride along in the same JSON: shape "recovery",
-     one strategy slot per restart path *)
-  let recovery = recovery_results () in
-  List.iter
-    (fun r ->
-       Printf.printf "recovery/%-16s %s\n" r.r_strategy
-         (pp_duration r.r_median);
-       if not r.r_converged then
-         diverged := (r.r_shape, r.r_strategy) :: !diverged)
-    recovery;
-  (* the serving-layer scaling rows ride along too: shapes
-     "multi_session_churn" (lazy) and "multi_session_churn_eager", one
-     strategy slot per session count *)
-  let multi =
-    multi_session_results Openivm.Flags.Lazy
-    @ multi_session_results Openivm.Flags.Eager
-  in
-  List.iter
-    (fun r ->
-       Printf.printf "%s/%-12s %s\n" r.r_shape r.r_strategy
-         (pp_duration r.r_median);
-       if not r.r_converged then
-         diverged := (r.r_shape, r.r_strategy) :: !diverged)
-    multi;
-  (* the bulk UPDATE rows ride along too: shape "bulk_update", one
-     strategy slot per statement, mode and table size; a failed gate is
-     reported with the divergences *)
-  let bulk = bulk_update_results () in
-  List.iter
-    (fun r ->
-       Printf.printf "bulk_update/%-24s %s (slots %.0f -> %.0f)\n" r.r_strategy
-         (pp_duration r.r_median)
-         (List.assoc "slots_before" r.r_extra)
-         (List.assoc "slots_after" r.r_extra);
-       if not r.r_converged then
-         diverged := (r.r_shape, r.r_strategy) :: !diverged)
-    bulk;
-  let results = List.rev !results @ recovery @ multi @ bulk in
-  let oc = open_out !refresh_out in
-  output_string oc (refresh_json results);
-  close_out oc;
-  Printf.printf "wrote %s (%d measurements)\n" !refresh_out
-    (List.length results);
-  if !diverged <> [] then begin
-    List.iter
-      (fun (shape, strategy) ->
-         if shape = "bulk_update" then
-           Printf.eprintf
-             "BENCH GATE: bulk_update/%s: an index lookup differs from a \
-              scan, or a non-key UPDATE moved the slot count\n"
-             strategy
-         else
-           Printf.eprintf
-             "BENCH DIVERGENCE: view %s under %s disagrees with full \
-              recompute\n"
-             shape strategy)
-      (List.rev !diverged);
-    exit 1
-  end
+(* --- art_build (E2a): three ways to build an ART over n integer keys ---
 
-(* --- driver --- *)
+   Per-row inserts, one bulk build from sorted input, and 16 per-chunk
+   bulk builds merged into the first: the paper's "build small indexes
+   for each chunk and merge them". The engine itself builds a PK index
+   in one sorted pass ([Table.ensure_pk] → [Art.of_sorted]); only this
+   family and test_art.ml reach [Art.merge]. The check: each tree lists
+   exactly the input bindings in key order, so the bulk and merged trees
+   list the same bindings as the per-row tree. *)
+
+let art_build_rows () =
+  let chunks = 16 in
+  let insert_each bindings =
+    let t = Art.create () in
+    Array.iter (fun (k, v) -> Art.insert t k v) bindings;
+    t
+  in
+  let chunked_merge bindings =
+    let n = Array.length bindings in
+    let size = (n + chunks - 1) / chunks in
+    let part c =
+      let lo = min n (c * size) in
+      Art.of_sorted (Array.sub bindings lo (min size (n - lo)))
+    in
+    let first = part 0 in
+    for c = 1 to chunks - 1 do
+      Art.merge ~combine:(fun _ v -> v) first (part c)
+    done;
+    first
+  in
+  List.concat_map
+    (fun n ->
+       let bindings =
+         Array.init n (fun i -> (Value.encode_key [| Value.Int i |], i))
+       in
+       List.map
+         (fun (name, build, extra) ->
+            let tree = ref (Art.create ()) in
+            let times = runs (fun () -> time_unit (fun () -> tree := build bindings)) in
+            result ~shape:"art_build" ~strategy:(Printf.sprintf "%s_%d" name n)
+              ~extra:(("keys", num n) :: extra)
+              (Art.to_list !tree = Array.to_list bindings)
+              times)
+         [ ("insert_each", insert_each, []);
+           ("bulk_sorted", Art.of_sorted, []);
+           ("chunked_merge", chunked_merge, [ ("chunks", num chunks) ]) ])
+    (by_scale ~small:[ 10_000; 50_000 ] ~medium:[ 10_000; 100_000; 400_000 ]
+       ~full:[ 10_000; 100_000; 1_000_000 ])
+
+(* --- upsert_index (E2b): upserts with and without the ART primary key ---
+
+   A batch of upserts into a keyed [base]-row table: through the PK's
+   ART ([INSERT OR REPLACE]), and into the same table without a key by
+   DELETE (a scan) then INSERT. Each run applies the same batch. The
+   check: both tables end with the same rows. *)
+
+let upsert_index_rows () =
+  let base, batch =
+    by_scale ~small:(20_000, 100) ~medium:(100_000, 200) ~full:(400_000, 1_000)
+  in
+  let run key upsert =
+    let db = Database.create () in
+    ignore (Database.exec db (Printf.sprintf "CREATE TABLE v(k INTEGER%s, s INTEGER)" key));
+    Table.insert_many
+      (Catalog.find_table (Database.catalog db) "v")
+      (List.init base (fun i -> [| Value.Int i; Value.Int (i * 3) |]));
+    let times =
+      runs (fun () ->
+          time_unit (fun () ->
+              for i = 0 to batch - 1 do
+                exec_all db (upsert (i * 97 mod base) i)
+              done))
+    in
+    (times, sorted_rows (Database.query db "SELECT k, s FROM v"))
+  in
+  let indexed =
+    run " PRIMARY KEY" (fun k s ->
+        [ Printf.sprintf "INSERT OR REPLACE INTO v VALUES (%d, %d)" k s ])
+  and unindexed =
+    run "" (fun k s ->
+        [ Printf.sprintf "DELETE FROM v WHERE k = %d" k;
+          Printf.sprintf "INSERT INTO v VALUES (%d, %d)" k s ])
+  in
+  List.map
+    (fun (name, (times, _)) ->
+       result ~shape:"upsert_index" ~strategy:(Printf.sprintf "%s_%d" name base)
+         ~extra:
+           [ ("base_rows", num base); ("batch_rows", num batch);
+             ("us_per_row", 1e6 *. median times /. num batch) ]
+         (snd indexed = snd unindexed) times)
+    [ ("indexed", indexed); ("unindexed", unindexed) ]
+
+(* --- htap_fresh_answer (E3): the demo's 4-way comparison ---
+
+   The same seeded transactions run against four deployments: one
+   embedded engine maintaining the view (pure OLAP + IVM), an OLTP
+   engine recomputing the query (pure OLTP), the paper's pipeline
+   shipping deltas to a maintained view (cross-system + IVM), and the
+   pipeline shipping the whole base tables to recompute (cross-system,
+   ship-all). Each run applies one transaction batch, then asks for a
+   fresh analytical answer; a row times the answer. The check: in every
+   run at least three of the four deployments return this deployment's
+   rows, so all four agree or the one that does not is named. The view
+   is read by its named columns: SELECT * would also return its hidden
+   __ivm_* state. *)
+
+let htap_rows () =
+  let module Pipeline = Openivm_htap.Pipeline in
+  let module Oltp = Openivm_htap.Oltp in
+  let module Txgen = Openivm_htap.Txgen in
+  let seed_rows, batch_rows =
+    by_scale ~small:(10_000, 200) ~medium:(50_000, 500) ~full:(200_000, 1_000)
+  in
+  (* the OLTP side indexes the transaction key, as any OLTP system would *)
+  let schema_sql =
+    Datagen.groups_ddl ^ "; CREATE INDEX idx_groups_key ON groups(group_index);"
+  in
+  let view_sql = "CREATE MATERIALIZED VIEW query_groups AS " ^ sum_count_query in
+  let fresh = "SELECT group_index, total_value, n FROM query_groups" in
+  (* seed through [exec], then [ready ()] returns the answer function;
+     each run: (batch seconds, answer seconds, the answer's rows) *)
+  let rounds exec ready =
+    let tx = Txgen.create ~seed:4242 () in
+    List.iter (fun sql -> ignore (exec sql)) (Txgen.seed_rows tx seed_rows);
+    let answer = ready () in
+    runs (fun () ->
+        let batch = Txgen.batch tx batch_rows in
+        let t_tx = time_unit (fun () -> List.iter (fun sql -> ignore (exec sql)) batch) in
+        let rows = ref [] in
+        let t_q = time_unit (fun () -> rows := sorted_rows (answer ())) in
+        (t_tx, t_q, !rows))
+  in
+  let cross ~with_ivm () =
+    let p = Pipeline.create ~schema_sql ~view_sql () in
+    rounds (Pipeline.exec_oltp p) (fun () ->
+        ignore (Pipeline.sync p);
+        Openivm.Runner.force_refresh (Pipeline.view p);
+        if with_ivm then fun () -> Pipeline.query p fresh
+        else fun () -> Pipeline.query_without_ivm p)
+  in
+  let measured =
+    List.map
+      (fun (name, deploy) -> (name, deploy ()))
+      [ ("pure_olap_ivm",
+         fun () ->
+           let db = Database.create () in
+           ignore (Database.exec_script db schema_sql);
+           rounds (Database.exec db) (fun () ->
+               let v = Openivm.Runner.install db view_sql in
+               fun () -> Openivm.Runner.query v fresh));
+        ("pure_oltp_recompute",
+         fun () ->
+           let oltp = Oltp.create () in
+           ignore (Database.exec_script (Oltp.db oltp) schema_sql);
+           rounds (Oltp.exec oltp) (fun () () -> Oltp.query oltp sum_count_query));
+        ("cross_system_ivm", cross ~with_ivm:true);
+        ("cross_system_ship_all", cross ~with_ivm:false) ]
+  in
+  let answers = List.map (fun (_, rs) -> List.map (fun (_, _, a) -> a) rs) measured in
+  List.map
+    (fun (name, rs) ->
+       let agreed i (_, _, a) =
+         List.length (List.filter (fun other -> List.nth other i = a) answers) >= 3
+       in
+       result ~shape:"htap_fresh_answer" ~strategy:name
+         ~extra:
+           [ ("seed_rows", num seed_rows); ("batch_rows", num batch_rows);
+             ("tx_batch_ms", 1e3 *. mean (List.map (fun (t, _, _) -> t) rs)) ]
+         (List.for_all Fun.id (List.mapi agreed rs))
+         (List.map (fun (_, t, _) -> t) rs))
+    measured
+
+(* --- refresh_granularity (E4b, E4c): eager vs batched lazy refresh ---
+
+   [stmts] single-row inserts into a [base]-row table under the SUM/COUNT
+   view, refreshed eagerly per statement ([eager]), or lazily once k
+   statements are pending ([lazy_every_k], k = 1, 10, 100, 1000) and
+   once more at the end, as a read would. Extras: µs per statement and
+   the mean number of delta rows pending after a statement (the price in
+   recency). The check: after each run the stored view equals a
+   recompute with no further refresh. *)
+
+let granularity_rows () =
+  let base, stmts =
+    by_scale ~small:(20_000, 200) ~medium:(50_000, 1_000) ~full:(200_000, 1_000)
+  in
+  let mode name refresh every =
+    let db = Database.create () in
+    ignore (Database.exec db Datagen.groups_ddl);
+    Datagen.populate_groups ~domain:1000 db (Datagen.create ()) ~rows:base;
+    let v =
+      Openivm.Runner.install ~flags:{ Openivm.Flags.default with refresh } db
+        ("CREATE MATERIALIZED VIEW bench_v AS " ^ sum_count_query)
+    in
+    let pending = ref 0 and fresh = ref true in
+    let times =
+      runs (fun () ->
+          pending := 0;
+          let t =
+            time_unit (fun () ->
+                for i = 0 to stmts - 1 do
+                  if i > 0 && i mod every = 0 then Openivm.Runner.refresh v;
+                  ignore
+                    (Database.exec db
+                       (Printf.sprintf "INSERT INTO groups VALUES ('%s', %d)"
+                          (Datagen.group_key (i mod 1000)) i));
+                  pending := !pending + Openivm.Runner.pending_deltas v
+                done;
+                Openivm.Runner.refresh v)
+          in
+          fresh :=
+            !fresh
+            && sorted_rows
+                 (Database.query db "SELECT group_index, total_value, n FROM bench_v")
+               = Openivm.Runner.recompute_rows v;
+          t)
+    in
+    result ~shape:"refresh_granularity" ~strategy:name
+      ~extra:
+        [ ("base_rows", num base); ("statements", num stmts);
+          ("us_per_stmt", 1e6 *. median times /. num stmts);
+          ("mean_pending_rows", num !pending /. num stmts) ]
+      !fresh times
+  in
+  mode "eager" Openivm.Flags.Eager max_int
+  :: List.map
+       (fun k -> mode (Printf.sprintf "lazy_every_%d" k) Openivm.Flags.Lazy k)
+       [ 1; 10; 100; 1000 ]
+
+(* --- compile (E5): compiler latency per view class ---
+
+   A run compiles the view [per_run] times; a row is the time of one
+   compilation and counts the statements the output holds (DDL,
+   metadata, initial load, propagation script). The check: the view
+   installs from that output on a small database and equals a recompute
+   after one delta. *)
+
+let compile_rows () =
+  let per_run = 200 in
+  let tables () =
+    let db = Database.create () in
+    exec_all db [ Datagen.groups_ddl; Datagen.sales_ddl; Datagen.customers_ddl ];
+    db
+  in
+  let catalog = Database.catalog (tables ()) in
+  List.map
+    (fun (name, query) ->
+       let sql = "CREATE MATERIALIZED VIEW v AS " ^ query in
+       let times =
+         runs (fun () ->
+             time_unit (fun () ->
+                 for _ = 1 to per_run do
+                   ignore (Openivm.Compiler.compile catalog sql)
+                 done)
+             /. num per_run)
+       in
+       let db = tables () in
+       let gen = Datagen.create () in
+       Datagen.populate_groups db gen ~rows:200;
+       Datagen.populate_customers db gen ~customers:20;
+       Datagen.populate_sales ~customers:20 db gen ~rows:200;
+       let v = Openivm.Runner.install db sql in
+       let c = v.Openivm.Runner.compiled in
+       Datagen.apply_groups_delta db (Datagen.groups_delta_rows gen ~rows:20);
+       exec_all db
+         [ "INSERT INTO sales VALUES (900, 3, 'item001', 50), (901, 7, 'item002', 70)";
+           "DELETE FROM sales WHERE cust = 1" ];
+       result ~shape:"compile" ~strategy:name
+         ~extra:
+           [ ("compiles_per_run", num per_run);
+             ("statements",
+              num
+                (List.length c.Openivm.Compiler.ddl
+                 + List.length c.Openivm.Compiler.metadata_dml
+                 + 1
+                 + List.length (Openivm.Propagate.all_statements c.Openivm.Compiler.script))) ]
+         (Openivm.Runner.visible_rows v = Openivm.Runner.recompute_rows v)
+         times)
+    [ ("projection", "SELECT group_index, group_value FROM groups");
+      ("filter", "SELECT group_index FROM groups WHERE group_value > 10");
+      ("sum_count_group", sum_count_query);
+      ("min_max_group",
+       "SELECT group_index, MIN(group_value) AS lo, MAX(group_value) AS hi \
+        FROM groups GROUP BY group_index");
+      ("global_agg", "SELECT SUM(group_value) AS s FROM groups");
+      ("join_agg",
+       "SELECT customers.region, SUM(sales.amount) AS total FROM sales JOIN \
+        customers ON sales.cust = customers.cust GROUP BY customers.region") ]
+
+(* --- one writer, one printer, one gate --- *)
+
+let number x = Printf.sprintf "%.6g" x
+
+let print_row r =
+  Printf.printf "%s/%s %s%s\n%!" r.r_shape r.r_strategy (pp_duration r.r_median)
+    (String.concat ""
+       (List.map (fun (k, x) -> Printf.sprintf " %s=%s" k (number x)) r.r_extra))
+
+let scale_name () = by_scale ~small:"small" ~medium:"medium" ~full:"full"
+
+let refresh_json results =
+  let b = Buffer.create 4096 in
+  Buffer.add_string b "{\n  \"benchmark\": \"refresh\",\n";
+  Printf.bprintf b "  \"scale\": %S,\n" (scale_name ());
+  Printf.bprintf b "  \"host\": {\"domains\": %d, \"ocaml\": %S, \"os\": %S},\n"
+    (Domain.recommended_domain_count ()) Sys.ocaml_version Sys.os_type;
+  Printf.bprintf b "  \"reps\": %d,\n" (max 1 !reps);
+  Buffer.add_string b "  \"warmup_reps\": 1,\n";
+  Buffer.add_string b "  \"results\": [\n";
+  List.iteri
+    (fun i r ->
+       Printf.bprintf b
+         "    {\"shape\": %S, \"strategy\": %S, \"median_seconds\": \
+          %.9f, \"min_seconds\": %.9f, \"max_seconds\": %.9f, \
+          \"converged\": %b%s}%s\n"
+         r.r_shape r.r_strategy r.r_median r.r_min r.r_max r.r_converged
+         (String.concat ""
+            (List.map
+               (fun (k, x) -> Printf.sprintf ", \"%s\": %s" k (number x))
+               r.r_extra))
+         (if i = List.length results - 1 then "" else ","))
+    results;
+  Buffer.add_string b "  ]\n}\n";
+  Buffer.contents b
 
 let () =
   let argv = Sys.argv in
@@ -1183,18 +954,15 @@ let () =
     (match argv.(!i) with
      | "--small" -> scale := `Small
      | "--full" -> scale := `Full
-     | "--refresh-only" -> refresh_only := true
      | "--reps" when !i + 1 < Array.length argv ->
        incr i;
-       refresh_reps := int_of_string argv.(!i)
+       reps := int_of_string argv.(!i)
      | "--out" when !i + 1 < Array.length argv ->
        incr i;
-       refresh_out := argv.(!i)
+       out := argv.(!i)
      | arg ->
        Printf.eprintf
-         "unknown option %s (use --small/--full, --refresh-only, --reps N, \
-          --out FILE)\n"
-         arg;
+         "unknown option %s (use --small/--full, --reps N, --out FILE)\n" arg;
        exit 2);
     incr i
   done;
@@ -1202,15 +970,40 @@ let () =
     "OpenIVM benchmark harness (scale: %s)\n\
      Substrate: Minidb engine — shapes, not absolute numbers, are the \
      reproduction target.\n\n"
-    (match !scale with `Small -> "small" | `Medium -> "medium" | `Full -> "full");
-  if !refresh_only then refresh_bench ()
-  else begin
-    e1 ();
-    e1b ();
-    e2 ();
-    e3 ();
-    e4 ();
-    e4c ();
-    e5 ();
-    refresh_bench ()
-  end
+    (scale_name ());
+  let results =
+    List.concat_map
+      (fun family ->
+         let rows = family () in
+         List.iter print_row rows;
+         rows)
+      [ shape_rows; recovery_rows;
+        (fun () -> multi_session_rows Openivm.Flags.Lazy);
+        (fun () -> multi_session_rows Openivm.Flags.Eager);
+        bulk_update_rows; scaling_rows; art_build_rows; upsert_index_rows;
+        htap_rows; granularity_rows; compile_rows ]
+  in
+  let emitted = List.sort_uniq compare (List.map (fun r -> r.r_shape) results) in
+  let failures =
+    List.filter_map
+      (fun r ->
+         if r.r_converged then None
+         else Some (Printf.sprintf "%s/%s failed its check" r.r_shape r.r_strategy))
+      results
+    @ List.filter_map
+        (fun f -> if List.mem f emitted then None else Some ("no row of family " ^ f))
+        Families.all
+    @ List.filter_map
+        (fun f ->
+           if List.mem f Families.all then None
+           else Some ("family " ^ f ^ " is not listed in bench/families.ml"))
+        emitted
+  in
+  if failures <> [] then begin
+    List.iter (Printf.eprintf "BENCH GATE: %s\n") failures;
+    prerr_endline "BENCH GATE: no result file written";
+    exit 1
+  end;
+  Out_channel.with_open_bin !out (fun oc ->
+      output_string oc (refresh_json results));
+  Printf.printf "wrote %s (%d rows)\n" !out (List.length results)
