@@ -14,6 +14,9 @@
       full recompute of its defining query;
     - [recovery]: cold start, WAL replay and checkpoint load of a
       durable store; the recovered view equals a recompute;
+    - [backfill]: a durable store's chunked install of the SUM/COUNT
+      view at two base sizes; the view equals a recompute, and words
+      allocated per base row stay flat across the sizes;
     - [multi_session_churn] and [multi_session_churn_eager]: 160 DML
       units from 1, 4 and 16 concurrent sessions through the scheduler;
       every view equals a recompute;
@@ -350,24 +353,25 @@ let scaling_rows () =
    [checkpoint_load] recovers after the tail has been folded away. Each
    path is divergence-gated like every other benchmark row. *)
 
+let rec rm_rf path =
+  if Sys.file_exists path then
+    if Sys.is_directory path then begin
+      Array.iter (fun n -> rm_rf (Filename.concat path n)) (Sys.readdir path);
+      Sys.rmdir path
+    end
+    else Sys.remove path
+
+(** [f] on a fresh temporary directory, removed afterwards. *)
+let with_temp_dir f =
+  let dir = Filename.temp_file "openivm_bench" "" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o755;
+  Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir)
+
 let recovery_rows () =
   let module Store = Openivm_store.Store in
   let base, delta = refresh_sizes () in
   let domain = max 100 (base / 20) in
-  let rec rm_rf path =
-    if Sys.file_exists path then
-      if Sys.is_directory path then begin
-        Array.iter (fun n -> rm_rf (Filename.concat path n)) (Sys.readdir path);
-        Sys.rmdir path
-      end
-      else Sys.remove path
-  in
-  let with_temp_dir f =
-    let dir = Filename.temp_file "openivm_bench_rec" "" in
-    Sys.remove dir;
-    Sys.mkdir dir 0o755;
-    Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir)
-  in
   let view_sql = "CREATE MATERIALIZED VIEW bench_v AS " ^ sum_count_query in
   let row i =
     Printf.sprintf "('%s', %d)" (Datagen.group_key (i mod domain))
@@ -432,6 +436,80 @@ let recovery_rows () =
       [ row "cold_start" cold_times !cold_converged;
         row "wal_replay" replay_times replay_converged;
         row "checkpoint_load" checkpoint_times checkpoint_converged ])
+
+(* --- backfill: the durable store's chunked initial load ---
+
+   A [Store] install of the SUM/COUNT view over 1,000 groups, in the
+   store's default 256-row chunks, at two base sizes. A tenth of the
+   base rows is deleted first, so a row's live rank differs from its
+   slot. Each size seeds one store; a run times the CREATE MATERIALIZED
+   VIEW, checks the view against a recompute and drops it again. Extras:
+   the seeded and live base rows, the chunks, and µs and minor-heap
+   words per live base row. The check: every install equals a
+   recompute, and words per row at the larger size is at most 1.3x the
+   smaller. A backfill that walks its base table once allocates a
+   constant per row; one that copies the table per chunk allocates in
+   proportion to the table. Allocation does not follow the host's
+   speed, so the bound holds on any host. *)
+
+let backfill_rows () =
+  let module Store = Openivm_store.Store in
+  let groups = 1_000 and batch = 1_000 in
+  let view_sql = "CREATE MATERIALIZED VIEW bench_v AS " ^ sum_count_query in
+  let measure rows =
+    with_temp_dir (fun dir ->
+        let store = Store.open_ ~dir () in
+        ignore (Store.exec store Datagen.groups_ddl);
+        for b = 0 to (rows - 1) / batch do
+          let lo = b * batch in
+          ignore
+            (Store.exec store
+               ("INSERT INTO groups VALUES "
+                ^ String.concat ", "
+                    (List.init (min batch (rows - lo)) (fun i ->
+                         Printf.sprintf "('%s', %d)"
+                           (Datagen.group_key ((lo + i) mod groups))
+                           (lo + i)))))
+        done;
+        ignore (Store.exec store "DELETE FROM groups WHERE group_value % 10 = 3");
+        let db = Store.db store in
+        let live = Database.query_int db "SELECT COUNT(*) FROM groups" in
+        let chunks = ref 0 and words = ref [] and exact = ref true in
+        let times =
+          runs (fun () ->
+              let w0 = Gc.minor_words () in
+              let t = time_unit (fun () -> ignore (Store.exec store view_sql)) in
+              words := ((Gc.minor_words () -. w0) /. num live) :: !words;
+              chunks :=
+                Database.query_int db
+                  "SELECT total_chunks FROM _openivm_backfill_progress WHERE \
+                   view_name = 'bench_v'";
+              exact := !exact && Store.verify store;
+              ignore (Store.exec store "DROP TABLE bench_v");
+              t)
+        in
+        Store.close store;
+        (rows, live, !chunks, median !words, !exact, times))
+  in
+  let measured =
+    List.map measure
+      (by_scale ~small:[ 5_000; 50_000 ] ~medium:[ 20_000; 200_000 ]
+         ~full:[ 20_000; 200_000 ])
+  in
+  let words_of (_, _, _, w, _, _) = w in
+  let flat =
+    words_of (List.nth measured 1) <= 1.3 *. words_of (List.hd measured)
+  in
+  List.map
+    (fun (rows, live, chunks, words, exact, times) ->
+       result ~shape:"backfill" ~strategy:(Printf.sprintf "store_install_%d" rows)
+         ~extra:
+           [ ("base_rows", num rows); ("live_rows", num live);
+             ("chunks", num chunks);
+             ("us_per_row", 1e6 *. median times /. num live);
+             ("words_per_row", words) ]
+         (exact && flat) times)
+    measured
 
 (* --- the multi-session churn benchmark: serving-layer scaling ---
 
@@ -977,7 +1055,7 @@ let () =
          let rows = family () in
          List.iter print_row rows;
          rows)
-      [ shape_rows; recovery_rows;
+      [ shape_rows; recovery_rows; backfill_rows;
         (fun () -> multi_session_rows Openivm.Flags.Lazy);
         (fun () -> multi_session_rows Openivm.Flags.Eager);
         bulk_update_rows; scaling_rows; art_build_rows; upsert_index_rows;

@@ -389,7 +389,7 @@ let store_scripts_on_disk (compiled : Compiler.t) =
       single-shot install.
     - [`Deferred] — DDL and metadata, but no initial load: the staged
       backfill fills the view chunk by chunk afterwards
-      ({!backfill_chunk}).
+      ({!backfill_next}).
     - [`Attach] — neither DDL nor load: the backing, delta and metadata
       tables already exist (a checkpoint-restored database); just compile,
       register and re-arm capture.
@@ -491,59 +491,85 @@ let backfill_chunkable v =
   | Shape.Single { Shape.from_view = false; _ } -> true
   | Shape.Single _ | Shape.Joined _ -> false
 
+let backfill_base v =
+  Catalog.find_table (Database.catalog v.db) (fst (List.hd v.deltas))
+
 (** Number of chunks a [`Deferred] install of [v] needs at [chunk_rows]
     rows per chunk (always 1 for non-chunkable shapes). *)
 let backfill_total_chunks v ~chunk_rows =
   if not (backfill_chunkable v) then 1
-  else begin
-    let base = List.hd (Compiler.base_tables v.compiled) in
-    let rows =
-      Table.row_count (Catalog.find_table (Database.catalog v.db) base)
-    in
+  else
+    let rows = Table.row_count (backfill_base v) in
     max 1 ((rows + chunk_rows - 1) / chunk_rows)
-  end
 
-(** Apply backfill chunk [index] (0-based) of a [`Deferred] install:
-    insert the chunk's slice of the base table into the delta table with
-    positive multiplicity and propagate. Chunk order and boundaries are
-    deterministic for a fixed base table (slot order), so replaying the
-    same chunk indexes over the same base state is idempotent-by-
-    construction: recovery re-derives the identical slices. Returns the
-    number of base rows folded in. *)
-let backfill_chunk v ~chunk_rows ~index =
-  Span.with_span "backfill.chunk"
-    ~attrs:
-      [ ("view", Span.Str (view_name v)); ("chunk", Span.Int index) ]
-    (fun _ ->
-       Metrics.incr m_backfill_chunks;
-       if not (backfill_chunkable v) then begin
-         (* single whole-shot chunk: the ordinary initial load *)
-         with_bulk_distinct_hint v.db (fun () ->
-             Trigger.without_hooks (Database.triggers v.db) (fun () ->
-                 exec_stmts v.db [ v.compiled.Compiler.initial_load ]));
-         0
-       end
-       else begin
-         let base, delta = List.hd v.deltas in
-         let base_tbl = Catalog.find_table (Database.catalog v.db) base in
-         let width = Table.arity delta - 1 in
-         let rows = Table.to_rows base_tbl in
-         let lo = index * chunk_rows in
-         let chunk =
-           List.filteri (fun i _ -> i >= lo && i < lo + chunk_rows) rows
-         in
-         Trigger.without_hooks (Database.triggers v.db) (fun () ->
-             List.iter
-               (fun row ->
-                  let row =
-                    if Array.length row = width then row
-                    else Array.sub row 0 width
-                  in
-                  Table.insert delta (Array.append row [| Value.Bool true |]))
-               chunk);
-         force_refresh_local v;
-         List.length chunk
-       end)
+(** A walk over a [`Deferred] install's base table. Chunk [k] is the
+    live rows of rank [k * chunk_rows] to [(k + 1) * chunk_rows - 1] in
+    slot order; [bf_slot] is where chunk [bf_index] starts, so each chunk
+    reads on from where the one before stopped. [bf_live] is the base
+    table's row count when the walk began: a row inserted or deleted
+    under the walk would shift the ranks [bf_slot] stands for. *)
+type backfill = {
+  bf_view : view;
+  bf_chunk_rows : int;
+  bf_live : int;
+  mutable bf_index : int;
+  mutable bf_slot : int;
+}
+
+let backfill_from v ~chunk_rows ~index =
+  let live, slot =
+    if not (backfill_chunkable v) then (0, 0)
+    else
+      let base = backfill_base v in
+      ( Table.row_count base,
+        Table.iter_rows_from base ~slot:0 ~count:(index * chunk_rows) ignore )
+  in
+  { bf_view = v; bf_chunk_rows = chunk_rows; bf_live = live; bf_index = index;
+    bf_slot = slot }
+
+let backfill_index b = b.bf_index
+
+(** Apply the walk's next chunk: insert its rows into the delta table
+    with positive multiplicity and propagate, then step past them. The
+    chunks are fixed by the base table alone, so replaying the same
+    indexes over the same base state re-derives the identical slices.
+    Returns the number of base rows folded in. *)
+let backfill_next b =
+  let v = b.bf_view in
+  let rows =
+    Span.with_span "backfill.chunk"
+      ~attrs:
+        [ ("view", Span.Str (view_name v)); ("chunk", Span.Int b.bf_index) ]
+      (fun _ ->
+         Metrics.incr m_backfill_chunks;
+         if not (backfill_chunkable v) then begin
+           (* single whole-shot chunk: the ordinary initial load *)
+           with_bulk_distinct_hint v.db (fun () ->
+               Trigger.without_hooks (Database.triggers v.db) (fun () ->
+                   exec_stmts v.db [ v.compiled.Compiler.initial_load ]));
+           0
+         end
+         else begin
+           let base = backfill_base v and delta = snd (List.hd v.deltas) in
+           if Table.row_count base <> b.bf_live then
+             Error.fail "backfill of %s: base table %s changed under the walk"
+               (view_name v) base.Table.name;
+           let width = Table.arity delta - 1 in
+           let folded = ref 0 in
+           Trigger.without_hooks (Database.triggers v.db) (fun () ->
+               b.bf_slot <-
+                 Table.iter_rows_from base ~slot:b.bf_slot
+                   ~count:b.bf_chunk_rows (fun row ->
+                       let d = Array.make (width + 1) (Value.Bool true) in
+                       Array.blit row 0 d 0 width;
+                       Table.insert delta d;
+                       incr folded));
+           force_refresh_local v;
+           !folded
+         end)
+  in
+  b.bf_index <- b.bf_index + 1;
+  rows
 
 (** IVM202 unless no maintained view reads [name], as a base table or as
     an upstream view. *)

@@ -50,7 +50,7 @@ val install :
 
     [load] (default [`Immediate]) supports the durable store's staged
     installs: [`Deferred] runs DDL and metadata but skips the initial
-    load (fill the view afterwards with {!backfill_chunk});
+    load (fill the view afterwards with a {!backfill});
     [`Attach] skips DDL and load entirely — the tables were restored
     from a checkpoint — and only compiles, registers and re-arms
     capture triggers. *)
@@ -65,11 +65,16 @@ val install_select :
 (** {1 Staged backfill}
 
     Resumable initial materialization: a [`Deferred] install is filled in
-    [backfill_total_chunks] chunks, each a deterministic slot-order slice
-    of the base table pushed through the delta pipeline. Replaying a
-    prefix of chunk indexes over the same base state reproduces the same
-    partial view, so a killed backfill resumes at the last completed
-    chunk. *)
+    [backfill_total_chunks] chunks pushed through the delta pipeline.
+    Chunk [k] at [chunk_rows = c] is the base table's live rows of rank
+    [k * c] to [(k + 1) * c - 1] in slot order, so replaying a prefix of
+    chunk indexes over the same base state reproduces the same partial
+    view, and a killed backfill resumes at the last completed chunk.
+
+    A {!backfill} walks the base table once: it starts at a chunk, and
+    each chunk reads on from the slot where the one before stopped. A
+    whole install costs one pass over the base table plus one refresh
+    per chunk. *)
 
 val backfill_chunkable : view -> bool
 (** Whether the view's initial load can proceed in chunks (plain single
@@ -78,10 +83,22 @@ val backfill_chunkable : view -> bool
 
 val backfill_total_chunks : view -> chunk_rows:int -> int
 
-val backfill_chunk : view -> chunk_rows:int -> index:int -> int
-(** Apply chunk [index] (0-based): insert its base-table slice into the
-    delta table with positive multiplicity and propagate. Returns the
-    number of base rows folded in (0 for the whole-shot chunk of a
+type backfill
+(** A walk of one view's base table, positioned at a chunk. It is valid
+    while the base table is unchanged; a chunk applied after the table's
+    row count changed raises {!Error.Sql_error}. *)
+
+val backfill_from : view -> chunk_rows:int -> index:int -> backfill
+(** A walk positioned at chunk [index] (0-based): it steps over the live
+    rows of the chunks before it. *)
+
+val backfill_index : backfill -> int
+(** The chunk {!backfill_next} applies next. *)
+
+val backfill_next : backfill -> int
+(** Apply the walk's next chunk: insert its rows into the delta table
+    with positive multiplicity, propagate, and step past them. Returns
+    the number of base rows folded in (0 for the whole-shot chunk of a
     non-chunkable view). *)
 
 val uninstall : view -> unit

@@ -103,6 +103,17 @@ let to_rows t =
   iter_rows (fun r -> acc := r :: !acc) t;
   List.rev !acc
 
+let iter_rows_from t ~slot ~count f =
+  let len = Vec.length t.slots in
+  let rec go i left =
+    if left <= 0 || i >= len then i
+    else
+      match Vec.get t.slots i with
+      | Some row -> f row; go (i + 1) (left - 1)
+      | None -> go (i + 1) left
+  in
+  go slot count
+
 (* --- index maintenance --- *)
 
 let index_add_row (ix : index) slot row =

@@ -49,6 +49,13 @@ val iter_rows : (Row.t -> unit) -> t -> unit
 val iter_slots : (int -> Row.t -> unit) -> t -> unit
 val to_rows : t -> Row.t list
 
+val iter_rows_from : t -> slot:int -> count:int -> (Row.t -> unit) -> int
+(** Feed [f] the first [count] live rows at or after [slot], in slot
+    order, and return the slot after the last one fed (the slot count
+    when fewer remain): the [~slot] of a walk's next step. A slot keeps
+    its number until a compaction (after deletes) or a {!truncate}
+    renumbers the table. *)
+
 val find_secondary : t -> string -> index option
 val create_index :
   t -> index_name:string -> key_positions:int array -> unique:bool -> index

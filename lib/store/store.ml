@@ -133,16 +133,18 @@ let roll_fault t kind =
   | Some f when Fault.roll f kind -> raise Fault.Injected_crash
   | _ -> ()
 
-(** Run chunks [from .. total-1] of a staged install: apply, update the
-    ledger, log. The [Chunk_crash] fault fires {e before} a chunk — the
-    canonical killed-at-chunk-K injection point. *)
+(** Run chunks [from .. total-1] of a staged install in one walk of the
+    base table: apply, update the ledger, log. The [Chunk_crash] fault
+    fires {e before} a chunk — the canonical killed-at-chunk-K injection
+    point. *)
 let run_chunks t (v : Runner.view) ~(row : Metadata.backfill_row)
     ~(from : int) : unit =
+  let walk =
+    Runner.backfill_from v ~chunk_rows:row.Metadata.bf_chunk_rows ~index:from
+  in
   for k = from to row.Metadata.bf_total_chunks - 1 do
     roll_fault t Fault.Chunk_crash;
-    ignore
-      (Runner.backfill_chunk v ~chunk_rows:row.Metadata.bf_chunk_rows
-         ~index:k);
+    ignore (Runner.backfill_next walk);
     mark_chunk_done t.db row k;
     ignore (Wal.append t.wal (Wal.Chunk { view = row.Metadata.bf_view;
                                           index = k }))
@@ -295,8 +297,13 @@ let open_ ?(flags = Flags.default) ?faults ?(chunk_rows = 256)
       Span.with_span "recovery.replay"
         ~attrs:[ ("records", Span.Int (List.length tail)) ]
         (fun _ ->
+           (* a run of consecutive Chunk records of one view replays in
+              one walk of its base table; any other record ends the run *)
+           let walk = ref None in
            List.iter
              (fun { Wal.seq; payload } ->
+                let run = !walk in
+                walk := None;
                 match payload with
                 | Wal.Stmt sql ->
                   ignore
@@ -313,9 +320,17 @@ let open_ ?(flags = Flags.default) ?faults ?(chunk_rows = 256)
                 | Wal.Chunk { view; index } ->
                   (match (Runner.find_view ext view, ledger_row db view) with
                    | Some v, Some row ->
-                     ignore
-                       (Runner.backfill_chunk v
-                          ~chunk_rows:row.Metadata.bf_chunk_rows ~index);
+                     let b =
+                       match run with
+                       | Some (name, b)
+                         when name = view && Runner.backfill_index b = index
+                         -> b
+                       | _ ->
+                         Runner.backfill_from v
+                           ~chunk_rows:row.Metadata.bf_chunk_rows ~index
+                     in
+                     ignore (Runner.backfill_next b);
+                     walk := Some (view, b);
                      mark_chunk_done db row index
                    | _ -> ())
                 | Wal.Batch { view; source; seq = bseq; replica; rows } ->

@@ -14,9 +14,12 @@
 
     Initial materialization is a resumable staged backfill: a
     [CREATE MATERIALIZED VIEW] logs an [Install] record, then fills the
-    view in {!Openivm.Runner.backfill_chunk} chunks, each logged and
-    recorded in the progress ledger — a killed install resumes at the
-    last completed chunk, not at chunk 0. *)
+    view chunk by chunk in one {!Openivm.Runner.backfill} walk of its
+    base table, each chunk logged and recorded in the progress ledger —
+    a killed install resumes at the last completed chunk, not at chunk
+    0. A resume walks once from that chunk, and replay walks once over a
+    run of consecutive [Chunk] records of one view, so an install costs
+    one pass over the base table plus one refresh per chunk. *)
 
 open Openivm_engine
 

@@ -62,6 +62,46 @@ let qg_rows store =
   | Some v -> Runner.visible_rows v
   | None -> Alcotest.fail "view qg not found"
 
+(** [rows] rows over [groups] groups in INSERTs of at most 500, then a
+    DELETE of every third row: the tombstones stay (fewer than half the
+    slots die), so a row's live rank differs from its slot. Returns the
+    live row count. *)
+let seed_tombstoned store ~rows ~groups =
+  let rec insert lo =
+    if lo < rows then begin
+      let n = min 500 (rows - lo) in
+      ignore
+        (Store.exec store
+           ("INSERT INTO groups VALUES "
+            ^ String.concat ", "
+                (List.init n (fun i ->
+                     Printf.sprintf "('g%d', %d)" ((lo + i) mod groups)
+                       (lo + i)))));
+      insert (lo + n)
+    end
+  in
+  insert 0;
+  ignore (Store.exec store "DELETE FROM groups WHERE group_value % 3 = 1");
+  let tbl = Catalog.find_table (Database.catalog (Store.db store)) "groups" in
+  Alcotest.(check bool) "tombstones keep their slots" true
+    (Vec.length tbl.Table.slots > Table.row_count tbl);
+  Table.row_count tbl
+
+(** Minor-heap words allocated per live base row by a [Store] install of
+    the SUM view over [rows] rows in 16-row chunks. *)
+let install_words_per_row ~rows =
+  with_temp_dir (fun dir ->
+      let store = seed_store ~chunk_rows:16 dir in
+      let live = seed_tombstoned store ~rows ~groups:100 in
+      let w0 = Gc.minor_words () in
+      ignore (Store.exec store install_sql);
+      let words = Gc.minor_words () -. w0 in
+      Alcotest.(check bool)
+        (Printf.sprintf "%d-row install is exact" rows)
+        true (Store.verify store);
+      Store.close store;
+      words /. float_of_int live)
+
 let suite =
   [ Util.tc "wal: every payload kind round-trips" (fun () ->
         with_temp_dir (fun dir ->
@@ -282,6 +322,78 @@ let suite =
              Alcotest.(check bool) "converged after resume" true
                (Store.verify store2);
              Store.close store2));
+    Util.tc "store: backfill killed at chunk K resumes at K across tombstones"
+      (fun () ->
+         with_temp_dir (fun dir ->
+             let f = faults () in
+             let store = seed_store ~faults:f ~chunk_rows:4 dir in
+             let live = seed_tombstoned store ~rows:60 ~groups:7 in
+             Fault.schedule f Fault.Chunk_crash ~after:5;
+             (match Store.exec store install_sql with
+              | exception Fault.Injected_crash -> ()
+              | _ -> Alcotest.fail "expected injected crash");
+             let store2 = Store.open_ ~dir () in
+             Alcotest.(check (list (pair string int)))
+               "resumed from chunk 5" [ ("qg", 5) ]
+               (Store.last_recovery store2).Store.backfills_resumed;
+             Util.check_scalar (Store.db store2)
+               "SELECT chunks_done FROM _openivm_backfill_progress WHERE \
+                view_name = 'qg'"
+               (string_of_int ((live + 3) / 4));
+             Alcotest.(check bool) "converged after resume" true
+               (Store.verify store2);
+             Store.close store2));
+    Util.tc "store: replaying a multi-chunk install equals the live install"
+      (fun () ->
+         with_temp_dir (fun dir ->
+             let store = seed_store ~chunk_rows:3 dir in
+             let live = seed_tombstoned store ~rows:45 ~groups:4 in
+             ignore (Store.exec store install_sql);
+             let backing = Util.sorted_rows (Store.db store) "SELECT * FROM qg" in
+             let visible = qg_rows store in
+             Store.close store;
+             let store2 = Store.open_ ~dir () in
+             let info = Store.last_recovery store2 in
+             Alcotest.(check int) "no checkpoint" 0 info.Store.checkpoint_seq;
+             (* CREATE TABLE, the INSERTs, the DELETE, Install, the Chunks *)
+             Alcotest.(check int) "every chunk record replayed"
+               (1 + 1 + 1 + 1 + ((live + 2) / 3))
+               info.Store.replayed;
+             Alcotest.(check (list (pair string int))) "nothing to resume" []
+               info.Store.backfills_resumed;
+             Alcotest.(check (list string)) "backing rows, hidden state too"
+               backing
+               (Util.sorted_rows (Store.db store2) "SELECT * FROM qg");
+             Alcotest.(check (list string)) "visible rows" visible
+               (qg_rows store2);
+             Alcotest.(check bool) "converged" true (Store.verify store2);
+             Store.close store2));
+    Util.tc "store: a backfill walk refuses a base table changed under it"
+      (fun () ->
+         let db =
+           Util.db_with
+             [ "CREATE TABLE groups(group_index VARCHAR, group_value INTEGER)";
+               "INSERT INTO groups VALUES ('a', 1), ('b', 2), ('a', 3), \
+                ('b', 4), ('a', 5)" ]
+         in
+         let v = Runner.install ~load:`Deferred db install_sql in
+         let walk = Runner.backfill_from v ~chunk_rows:2 ~index:0 in
+         Alcotest.(check int) "first chunk" 2 (Runner.backfill_next walk);
+         Util.exec db "DELETE FROM groups WHERE group_value = 1";
+         match Runner.backfill_next walk with
+         | exception Error.Sql_error _ -> ()
+         | _ -> Alcotest.fail "expected the walk to refuse");
+    Util.tc "store: a backfill allocates the same per base row at N and 4N"
+      (fun () ->
+         (* a backfill that copies the base table per chunk allocates
+            O(N) per row; one walk allocates a constant *)
+         let small = install_words_per_row ~rows:2_000
+         and large = install_words_per_row ~rows:8_000 in
+         if large > 1.3 *. small then
+           Alcotest.failf
+             "words per base row grew %.2fx (%.0f at 2,000 rows, %.0f at \
+              8,000); the bound is 1.3x"
+             (large /. small) small large);
     Util.tc "store: checkpoint truncates the log; recovery replays nothing"
       (fun () ->
          with_temp_dir (fun dir ->
